@@ -264,7 +264,8 @@ def _int_det(mat):
             if f:
                 for j in range(k, n):
                     m[i][j] -= f * m[k][j]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError("integer determinant came out fractional")
     return int(det)
 
 

@@ -20,7 +20,7 @@ from .cartan import SuperCartanDatum, datum_from_dict, datum_hash, \
 from .catalog import CATALOG
 from .crystal import Crystal
 from .freealg import render_word
-from .halfqg import QuotientContext
+from .halfqg import GramCacheError, QuotientContext
 from .scalars import PS_ONE, render_scalar
 
 HEIGHT_CAP = 8
@@ -348,7 +348,7 @@ def main(argv=None):
         handler = {"validate": cmd_validate, "canonical": cmd_canonical,
                    "character": cmd_character, "verify": cmd_verify}
         payload, code = handler[args.command](cfg)
-    except InputError as e:
+    except (InputError, GramCacheError) as e:
         _emit({"error": str(e)}, cfg.out)
         return 2
     except ArithmeticError as e:

@@ -646,15 +646,3 @@ def _field_reduce(echelon, vec):
             f = vec[lead] / row[lead]
             vec = [x - f * y for x, y in zip(vec, row)]
     return vec
-
-
-def generate_crystal(ctx, height):
-    return Crystal(ctx, height)
-
-
-def verify_psi_lattice(ctx, height):
-    return Crystal(ctx, height).verify_psi_lattice()
-
-
-def verify_rho_lattice(ctx, height):
-    return Crystal(ctx, height).verify_rho_lattice()

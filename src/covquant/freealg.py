@@ -3,11 +3,16 @@
 Words are tuples of index positions (file order of the datum's index
 list).  Elements map words to PiScalar coefficients; zero coefficients
 are never stored.  All operations are pure; the pairing accepts an
-external memo dict so a quotient context can own the cache.
+external memo dict so a quotient context can own the cache, and works
+per pi-component on integer Laurent polynomials (kernel tuples).
 """
 
+from . import kernels
 from .cartan import weight_add
-from .scalars import PS_ONE, PS_ZERO, PiScalar
+from .scalars import PS_ONE, PS_ZERO, PiScalar, lp_to_ratfn
+
+_PAIR_ZERO = (kernels.LP_ZERO, kernels.LP_ZERO)
+_PAIR_ONE = (kernels.lp_const(1), kernels.lp_const(1))
 
 
 class FreeElement:
@@ -210,29 +215,43 @@ class FreeAlgebra:
         return out
 
     def pair_words(self, w1, w2, memo=None):
-        """Recursive bilinear form on two words."""
+        """The bilinear form on two words as a (plus, minus) pair of
+        integer Laurent kernel tuples, one per pi-component."""
         if len(w1) != len(w2):
-            return PS_ZERO
-        if not w1:
-            return PS_ONE
+            return _PAIR_ZERO
         if memo is None:
             memo = {}
         return self._pair_words(w1, w2, memo)
 
     def _pair_words(self, w1, w2, memo):
+        """Peel the first letter of w1 off w2: each e_k' factor is
+        pi^a v^b, that is v^b at pi = +1 and (-1)^a v^b at pi = -1."""
         if not w1:
-            return PS_ONE
+            return _PAIR_ONE
         key = (w1, w2)
         hit = memo.get(key)
         if hit is not None:
             return hit
         k = w1[0]
         tail = w1[1:]
-        acc = PS_ZERO
-        for rest, s in self.eprime_word(k, w2).items():
-            acc = acc + s * self._pair_words(tail, rest, memo)
-        memo[key] = acc
-        return acc
+        par = self.datum.parity
+        par_k = par[k]
+        dot_k = self.datum.dot[k]
+        plus = minus = kernels.LP_ZERO
+        pi_exp = 0
+        v_exp = 0
+        for t, letter in enumerate(w2):
+            if letter == k:
+                p, m = self._pair_words(tail, w2[:t] + w2[t + 1:], memo)
+                plus = kernels.lp_add(plus, kernels.lp_shift(p, v_exp))
+                m = kernels.lp_shift(m, v_exp)
+                minus = kernels.lp_add(
+                    minus, kernels.lp_neg(m) if pi_exp % 2 else m)
+            pi_exp += par_k * par[letter]
+            v_exp -= dot_k[letter]
+        got = (plus, minus)
+        memo[key] = got
+        return got
 
     def pairing(self, x, y, memo=None):
         if memo is None:
@@ -242,7 +261,9 @@ class FreeAlgebra:
             for w2, c2 in y.terms.items():
                 if len(w1) != len(w2):
                     continue
-                acc = acc + c1 * c2 * self._pair_words(w1, w2, memo)
+                p, m = self._pair_words(w1, w2, memo)
+                acc = acc + c1 * c2 * PiScalar(lp_to_ratfn(p),
+                                               lp_to_ratfn(m))
         return acc
 
     # --- (anti)automorphisms ----------------------------------------------

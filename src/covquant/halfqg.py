@@ -1,8 +1,9 @@
 """The half covering quantum group as free algebra modulo the radical of
 the bilinear form.
 
-Per weight we hold the Gram matrix of the form on words, a basis of its
-kernel (the radical), and the complementary pivot words.  Equality and
+Per weight we hold the Gram matrix of the form on words (integer Laurent
+polynomials, one matrix per pi-component), a basis of its kernel (the
+radical), and the complementary pivot words.  Equality and
 reduction happen per pi-component; the two components must agree on
 dimensions and pivot words, which is asserted.
 
@@ -11,31 +12,30 @@ and certifying completeness with a nonzero complementary Gram minor; if
 the certificate fails we fall back to a direct kernel computation.
 """
 
+import hashlib
 import json
 import os
 from math import comb
 
 from . import kernels
-from .cartan import stats_N, stats_p, weight_add, weight_sub
-from .freealg import (
-    FreeAlgebra,
-    FreeElement,
-    render_word,
-    word_weight,
-)
+from .cartan import stats_N, stats_p, weight_sub
+from .freealg import FreeAlgebra, FreeElement, render_word
 from .scalars import (
-    PS_ONE,
-    PS_ZERO,
     GaussianRational,
     LaurentPoly,
     PiScalar,
     RationalFn,
-    parse_scalar,
+    lp_to_ratfn,
     qbinomial,
-    render_scalar,
 )
 
 _SIGNS = (1, -1)
+_SIGN_KEYS = {1: "plus", -1: "minus"}
+_CACHE_FORMAT = 2
+
+
+class GramCacheError(Exception):
+    """An on-disk Gram cache file is unreadable or fails a check."""
 
 
 def _ratfn_to_lp(r):
@@ -54,10 +54,27 @@ def _ratfn_to_lp(r):
     return kernels.lp_trim(lo, tuple(coeffs.get(e, 0) for e in range(lo, hi + 1)))
 
 
-def _lp_to_ratfn(a):
-    off, coeffs = a
-    return RationalFn(LaurentPoly(
-        {off + k: GaussianRational(c) for k, c in enumerate(coeffs) if c}))
+def _canonical_json(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
+
+
+def _payload_hash(payload):
+    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def _lp_from_json(cell):
+    """[offset, [coeffs]] -> kernel tuple; None unless trimmed integers."""
+    if not (isinstance(cell, list) and len(cell) == 2
+            and type(cell[0]) is int and isinstance(cell[1], list)
+            and all(type(c) is int for c in cell[1])):
+        return None
+    off, coeffs = cell
+    if coeffs and (coeffs[0] == 0 or coeffs[-1] == 0):
+        return None
+    if not coeffs and off != 0:
+        return None
+    return (off, tuple(coeffs))
 
 
 class QuotientContext:
@@ -71,7 +88,8 @@ class QuotientContext:
         self.cache_dir = cache_dir
         self._pair_memo = {}
         self._words = {}
-        self._gram = {}
+        self._gram = {}      # nu -> {sign: integer Laurent rows}
+        self._serre = {}     # (i, j) -> (weight, {sign: [(word, LP)]})
         self._radical = {}   # nu -> {sign: (rows, pivot_cols)}
         self._pivots = {}    # nu -> pivot word list
         self._radical_route = {}  # nu -> "serre" | "fallback"
@@ -88,17 +106,26 @@ class QuotientContext:
         return got
 
     def gram(self, nu):
+        """Gram matrix at weight nu as {sign: rows of integer Laurent
+        kernel tuples}, one matrix per pi-component."""
         got = self._gram.get(nu)
         if got is not None:
             return got
-        mat = self._load_gram(nu)
-        if mat is None:
+        got = self._load_gram(nu)
+        if got is None:
             words = self.words(nu)
-            mat = [[self.free.pair_words(w1, w2, self._pair_memo)
-                    for w2 in words] for w1 in words]
-            self._store_gram(nu, mat)
-        self._gram[nu] = mat
-        return mat
+            pair = self.free.pair_words
+            memo = self._pair_memo
+            cells = [[pair(w1, w2, memo) for w2 in words] for w1 in words]
+            got = {sign: [[c[t] for c in row] for row in cells]
+                   for t, sign in enumerate(_SIGNS)}
+            self._store_gram(nu, got)
+        self._gram[nu] = got
+        return got
+
+    def gram_component(self, nu, sign):
+        """Gram matrix of one component as integer Laurent rows."""
+        return self.gram(nu)[sign]
 
     def _cache_path(self, nu):
         from .cartan import datum_hash
@@ -107,37 +134,74 @@ class QuotientContext:
         return os.path.join(self.cache_dir, name)
 
     def _load_gram(self, nu):
+        """The cached Gram matrix at nu, None if there is no file.
+
+        A file is used only if it passes every check; otherwise
+        GramCacheError names the file and the failed check.
+        """
         if not self.cache_dir:
             return None
         path = self._cache_path(nu)
         if not os.path.exists(path):
             return None
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+
+        def bad(reason):
+            return GramCacheError(f"Gram cache file {path}: {reason}")
+
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise bad(f"unreadable ({e})") from None
+        keys = {"format", "weight", "words", "gram", "sha256"}
+        if not isinstance(data, dict) or set(data) != keys:
+            raise bad(f"not a format-{_CACHE_FORMAT} cache file")
+        if data["format"] != _CACHE_FORMAT:
+            raise bad(f"format {data['format']!r}, expected {_CACHE_FORMAT}")
         if data["weight"] != list(nu):
-            raise ValueError(f"cache file {path} holds the wrong weight")
-        return [[parse_scalar(cell) for cell in row] for row in data["gram"]]
+            raise bad("holds the wrong weight")
+        words = [render_word(self.datum, w) for w in self.words(nu)]
+        if data["words"] != words:
+            raise bad("word list does not match the weight's words")
+        gram = data["gram"]
+        n = len(words)
+        if not isinstance(gram, dict) or set(gram) != set(_SIGN_KEYS.values()):
+            raise bad("gram must map plus and minus to matrices")
+        mat = {}
+        for sign in _SIGNS:
+            rows = gram[_SIGN_KEYS[sign]]
+            if not (isinstance(rows, list) and len(rows) == n and all(
+                    isinstance(r, list) and len(r) == n for r in rows)):
+                raise bad(f"{_SIGN_KEYS[sign]} matrix is not {n}x{n}")
+            cells = [[_lp_from_json(c) for c in r] for r in rows]
+            if any(c is None for r in cells for c in r):
+                raise bad("a cell is not a trimmed integer Laurent polynomial")
+            if any(cells[a][b] != cells[b][a]
+                   for a in range(n) for b in range(a)):
+                raise bad(f"{_SIGN_KEYS[sign]} matrix is not symmetric")
+            mat[sign] = cells
+        sha = data.pop("sha256")
+        if sha != _payload_hash(data):
+            raise bad("content hash does not match")
+        return mat
 
     def _store_gram(self, nu, mat):
         if not self.cache_dir:
             return
         data = {
+            "format": _CACHE_FORMAT,
             "weight": list(nu),
             "words": [render_word(self.datum, w) for w in self.words(nu)],
-            "gram": [[render_scalar(cell) for cell in row] for row in mat],
+            "gram": {_SIGN_KEYS[sign]: [[[a[0], list(a[1])] for a in row]
+                                        for row in mat[sign]]
+                     for sign in _SIGNS},
         }
+        data["sha256"] = _payload_hash(data)
         path = self._cache_path(nu)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
+            fh.write(_canonical_json(data))
         os.replace(tmp, path)
-
-    def gram_component(self, nu, sign):
-        """Gram matrix of one component as integer Laurent rows."""
-        mat = self.gram(nu)
-        pick = (lambda s: s.plus) if sign > 0 else (lambda s: s.minus)
-        return [[_ratfn_to_lp(pick(cell)) for cell in row] for row in mat]
 
     # --- radical -----------------------------------------------------------------
 
@@ -158,8 +222,22 @@ class QuotientContext:
         self.radical(nu)
         return self._radical_route[nu]
 
+    def _serre_terms(self, i, j):
+        """serre_element(i, j) as (weight, {sign: [(word, LP)]}), with
+        integer coefficients per pi-component; built once per context."""
+        got = self._serre.get((i, j))
+        if got is None:
+            s = self.serre_element(i, j)
+            got = (s.homogeneous_weight(self.datum.rank),
+                   {sign: [(w, _ratfn_to_lp(c.plus if sign > 0 else c.minus))
+                           for w, c in sorted(s.terms.items())]
+                    for sign in _SIGNS})
+            self._serre[(i, j)] = got
+        return got
+
     def _serre_span_rows(self, nu):
-        """Free-algebra vectors of padded Serre elements at weight nu."""
+        """Per-sign integer vectors over words(nu) of the padded Serre
+        elements u S_ij w, assembled by word concatenation."""
         words = self.words(nu)
         index = {w: t for t, w in enumerate(words)}
         rows = []
@@ -170,19 +248,21 @@ class QuotientContext:
                     continue
                 if not isinstance(self.datum.a(i, j), int):
                     continue
-                s = self.serre_element(i, j)
-                s_wt = s.homogeneous_weight(n)
+                s_wt, terms = self._serre_terms(i, j)
                 rest = weight_sub(nu, s_wt)
                 if any(c < 0 for c in rest):
                     continue
                 for left in self._subweights(rest):
                     right = weight_sub(rest, left)
-                    for u in self.free.words_of_weight(left):
-                        for w in self.free.words_of_weight(right):
-                            el = self.free.mul(
-                                self.free.mul(self.free.monomial(u), s),
-                                self.free.monomial(w))
-                            rows.append(self._to_int_rows(el, index))
+                    for u in self.words(left):
+                        for w in self.words(right):
+                            row = {}
+                            for sign in _SIGNS:
+                                vec = [kernels.LP_ZERO] * len(words)
+                                for word, c in terms[sign]:
+                                    vec[index[u + word + w]] = c
+                                row[sign] = vec
+                            rows.append(row)
         return rows
 
     @staticmethod
@@ -190,17 +270,6 @@ class QuotientContext:
         out = [()]
         for c in nu:
             out = [w + (k,) for w in out for k in range(c + 1)]
-        return out
-
-    def _to_int_rows(self, el, index):
-        """Element -> per-sign integer LP vectors over the word basis."""
-        out = {}
-        for sign in _SIGNS:
-            vec = [kernels.LP_ZERO] * len(index)
-            for w, c in el.terms.items():
-                comp = c.plus if sign > 0 else c.minus
-                vec[index[w]] = _ratfn_to_lp(comp)
-            out[sign] = vec
         return out
 
     def _compute_radical(self, nu):
@@ -290,10 +359,10 @@ class QuotientContext:
             for row, lead in zip(rows, piv):
                 f = vec[lead]
                 if f:
-                    ratio = f / _lp_to_ratfn(row[lead])
+                    ratio = f / lp_to_ratfn(row[lead])
                     for j in range(len(words)):
                         if row[j][1]:
-                            vec[j] = vec[j] - ratio * _lp_to_ratfn(row[j])
+                            vec[j] = vec[j] - ratio * lp_to_ratfn(row[j])
             coords = [None] * len(pivot_words)
             for t, w in enumerate(words):
                 if w in pivot_pos:

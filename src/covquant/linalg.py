@@ -21,38 +21,6 @@ def zeros(nrows, ncols):
     return [[RF_ZERO] * ncols for _ in range(nrows)]
 
 
-def matmul(a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = RF_ZERO
-            for t in range(k):
-                if a[i][t] and b[t][j]:
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def matvec(a, x):
-    out = []
-    for row in a:
-        acc = RF_ZERO
-        for c, v in zip(row, x):
-            if c and v:
-                acc = acc + c * v
-        out.append(acc)
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _eliminate(mat, ncols):
     """In-place forward elimination; returns list of (row, col) pivots."""
     pivots = []
@@ -75,13 +43,6 @@ def _eliminate(mat, ncols):
         pivots.append((r, c))
         r += 1
     return pivots
-
-
-def rank(a):
-    if not a:
-        return 0
-    work = [list(r) for r in a]
-    return len(_eliminate(work, len(a[0])))
 
 
 def solve(a, rhs_cols):

@@ -361,6 +361,13 @@ class RationalFn:
 LP_ONE = LaurentPoly({0: G_ONE})
 
 
+def lp_to_ratfn(a):
+    """Integer Laurent kernel tuple (offset, coeffs) -> RationalFn."""
+    off, coeffs = a
+    return RationalFn(LaurentPoly(
+        {off + k: GaussianRational(c) for k, c in enumerate(coeffs) if c}))
+
+
 class PiScalar:
     """Element of Q(t)(v)[pi]/(pi^2 - 1) as its (plus, minus) components."""
 
@@ -369,10 +376,6 @@ class PiScalar:
     def __init__(self, plus, minus):
         self.plus = plus
         self.minus = minus
-
-    @staticmethod
-    def from_components(plus, minus):
-        return PiScalar(plus, minus)
 
     @staticmethod
     def from_int(n):
@@ -678,9 +681,10 @@ def _parse_mixed(s):
         im_part = im_part[1:]
     if im_part == "t":
         im = Fraction(sign)
-    else:
-        assert im_part.endswith("*t"), im_part
+    elif im_part.endswith("*t"):
         im = sign * Fraction(im_part[:-2])
+    else:
+        raise ValueError(f"malformed imaginary part {im_part!r}")
     re = Fraction(re_part) if re_part else Fraction(0)
     return GaussianRational(re, im)
 

@@ -20,10 +20,10 @@ from math import comb
 from . import linalg
 from .cartan import height, unit_weight, weight_add, weight_sub, weight_zero
 from .freealg import FreeElement
-from .halfqg import _SIGNS, _lp_to_ratfn
+from .halfqg import _SIGNS
 from .linalg import RF_ZERO
-from .scalars import PS_ONE, PS_PI, PS_ZERO, PiScalar, qbinomial, \
-    qfactorial, qinteger_signed
+from .scalars import PS_ONE, PS_PI, PS_ZERO, PiScalar, lp_to_ratfn, \
+    qbinomial, qfactorial, qinteger_signed
 
 
 class TruncationBoundary(Exception):
@@ -220,7 +220,7 @@ class WeightModule:
                 for t, w in enumerate(words):
                     if not row[t][1]:
                         continue
-                    c = _lp_to_ratfn(row[t])
+                    c = lp_to_ratfn(row[t])
                     img = imgs[w]
                     for r in range(m):
                         comp = _sp(img[r], sign)

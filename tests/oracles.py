@@ -26,6 +26,13 @@ def ratfn_to_sympy(r):
     return sympy.cancel(poly(r.num) / poly(r.den))
 
 
+def lp_to_sympy(a):
+    """Convert an integer Laurent kernel tuple (offset, coeffs) to sympy."""
+    off, coeffs = a
+    return sum((sympy.Integer(c) * V ** (off + k)
+                for k, c in enumerate(coeffs)), sympy.Integer(0))
+
+
 def piscalar_to_sympy(s):
     return (ratfn_to_sympy(s.plus), ratfn_to_sympy(s.minus))
 
@@ -105,12 +112,12 @@ def pair_words_oracle(datum, w1, w2):
     return sympy.expand(acc)
 
 
-def piscalar_matches_pi_expr(s, expr):
-    """Compare a PiScalar with a sympy expression in V and PI by
-    specializing PI to +1 and -1."""
-    plus, minus = piscalar_to_sympy(s)
-    return (sympy.simplify(plus - expr.subs(PI, 1)) == 0
-            and sympy.simplify(minus - expr.subs(PI, -1)) == 0)
+def lp_pair_matches_pi_expr(pair, expr):
+    """Compare a (plus, minus) pair of integer Laurent kernel tuples with
+    a sympy expression in V and PI by specializing PI to +1 and -1."""
+    plus, minus = (lp_to_sympy(a) for a in pair)
+    return (sympy.expand(plus - expr.subs(PI, 1)) == 0
+            and sympy.expand(minus - expr.subs(PI, -1)) == 0)
 
 
 # --- rank-1 highest-weight module oracle --------------------------------------

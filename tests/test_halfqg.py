@@ -6,12 +6,19 @@ import random
 import pytest
 import sympy
 
+from covquant import kernels
 from covquant.catalog import all_catalog_names, catalog_datum, finite_catalog_names
+from covquant.cli import main
 from covquant.freealg import FreeElement, render_element
-from covquant.halfqg import QuotientContext
-from covquant.scalars import PS_ONE, PiScalar
+from covquant.halfqg import QuotientContext, _ratfn_to_lp
+from covquant.scalars import PS_ONE, PiScalar, lp_to_ratfn
 
-from oracles import ratfn_to_sympy
+from oracles import (
+    lp_pair_matches_pi_expr,
+    lp_to_sympy,
+    pair_words_oracle,
+    ratfn_to_sympy,
+)
 
 V = sympy.Symbol("v")
 
@@ -22,11 +29,12 @@ def osp14_ctx():
     return QuotientContext(datum, root, tf)
 
 
+LP_ONE = (0, (1,))
+
+
 def gram_sympy(ctx, nu, sign):
-    mat = ctx.gram(nu)
-    pick = (lambda s: s.plus) if sign > 0 else (lambda s: s.minus)
-    return sympy.Matrix([[ratfn_to_sympy(pick(c)) for c in row]
-                         for row in mat])
+    return sympy.Matrix([[lp_to_sympy(c) for c in row]
+                         for row in ctx.gram(nu)[sign]])
 
 
 # --- Gram matrices -----------------------------------------------------------
@@ -36,28 +44,41 @@ def test_gram_single_letter(osp14_ctx):
     for k in range(2):
         nu = tuple(1 if t == k else 0 for t in range(2))
         mat = osp14_ctx.gram(nu)
-        assert len(mat) == 1
-        assert mat[0][0] == PS_ONE
+        for sign in (1, -1):
+            assert mat[sign] == [[LP_ONE]]
 
 
 def test_gram_two_letters(osp14_ctx):
     # words theta_1 theta_2, theta_2 theta_1; off-diagonal pi^{p1 p2} v^{-1.2}
     mat = osp14_ctx.gram((1, 1))
-    assert len(mat) == 2
-    assert mat[0][0] == PS_ONE
-    assert mat[1][1] == PS_ONE
-    off = PiScalar.v_power(2)  # 1.2 = -2, p(1)p(2) = 0
-    assert mat[0][1] == off
-    assert mat[1][0] == off
+    off = (2, (1,))  # v^2: 1.2 = -2, p(1)p(2) = 0
+    for sign in (1, -1):
+        assert mat[sign] == [[LP_ONE, off], [off, LP_ONE]]
 
 
 def test_gram_symmetric(osp14_ctx):
     for nu in [(2, 1), (3, 1), (2, 2)]:
-        mat = osp14_ctx.gram(nu)
-        n = len(mat)
-        for a in range(n):
-            for b in range(n):
-                assert mat[a][b] == mat[b][a]
+        for sign in (1, -1):
+            mat = osp14_ctx.gram(nu)[sign]
+            n = len(mat)
+            for a in range(n):
+                for b in range(n):
+                    assert mat[a][b] == mat[b][a]
+
+
+@pytest.mark.parametrize("name,height", [("osp14", 4), ("osp16", 3)])
+def test_gram_matches_pairing_oracle(name, height):
+    # every cell against the sympy recursion at PI = +1 and PI = -1
+    datum, root, tf = catalog_datum(name)
+    ctx = QuotientContext(datum, root, tf)
+    for nu in ctx.free.weights_up_to_height(height):
+        words = ctx.words(nu)
+        mat = ctx.gram(nu)
+        for a, w1 in enumerate(words):
+            for b, w2 in enumerate(words):
+                got = (mat[1][a][b], mat[-1][a][b])
+                want = pair_words_oracle(datum, w1, w2)
+                assert lp_pair_matches_pi_expr(got, want), (name, w1, w2)
 
 
 def test_gram_rank_matches_sympy_oracle(osp14_ctx):
@@ -248,7 +269,6 @@ def test_radical_stable_under_maps(osp14_ctx):
     nu = (3, 1)
     words = ctx.words(nu)
     rad = ctx.radical(nu)
-    from covquant.halfqg import _lp_to_ratfn
     from covquant.scalars import RationalFn, LaurentPoly
     zero = RationalFn(LaurentPoly())
     for sign in (1, -1):
@@ -257,7 +277,7 @@ def test_radical_stable_under_maps(osp14_ctx):
             terms = {}
             for t, lp in enumerate(row):
                 if lp[1]:
-                    r = _lp_to_ratfn(lp)
+                    r = lp_to_ratfn(lp)
                     terms[words[t]] = (PiScalar(r, zero) if sign > 0
                                        else PiScalar(zero, r))
             el = FreeElement(terms)
@@ -270,7 +290,6 @@ def test_radical_stable_under_maps(osp14_ctx):
 
 
 def test_fallback_kernel_matches_serre_route(osp14_ctx):
-    from covquant import kernels
     ctx = osp14_ctx
     for nu in [(3, 1), (2, 2)]:
         words = ctx.words(nu)
@@ -287,6 +306,41 @@ def test_fallback_kernel_matches_serre_route(osp14_ctx):
                 assert all(kernels.lp_is_zero(a) for a in res)
 
 
+# --- padded Serre rows ---------------------------------------------------------------
+
+
+def _to_int_rows(el, index):
+    """Element -> per-sign integer LP vectors over the word basis."""
+    out = {}
+    for sign in (1, -1):
+        vec = [kernels.LP_ZERO] * len(index)
+        for w, c in el.terms.items():
+            vec[index[w]] = _ratfn_to_lp(c.plus if sign > 0 else c.minus)
+        out[sign] = vec
+    return out
+
+
+@pytest.mark.parametrize("nu", [(2, 1), (3, 1), (2, 2)])
+def test_serre_rows_match_padded_products(osp14_ctx, nu):
+    # reference: u S_ij w built with PiScalar products in the free algebra
+    ctx = osp14_ctx
+    F = ctx.free
+    index = {w: t for t, w in enumerate(ctx.words(nu))}
+    want = []
+    for i, j in ((0, 1), (1, 0)):
+        s = ctx.serre_element(i, j)
+        rest = tuple(a - b for a, b in zip(nu, s.homogeneous_weight(2)))
+        if min(rest) < 0:
+            continue
+        for left in ctx._subweights(rest):
+            right = tuple(a - b for a, b in zip(rest, left))
+            for u in F.words_of_weight(left):
+                for w in F.words_of_weight(right):
+                    el = F.mul(F.mul(F.monomial(u), s), F.monomial(w))
+                    want.append(_to_int_rows(el, index))
+    assert ctx._serre_span_rows(nu) == want
+
+
 # --- disk cache ---------------------------------------------------------------------
 
 
@@ -300,7 +354,9 @@ def test_gram_disk_cache_roundtrip(tmp_path):
     blob = files[0].read_bytes()
     # a fresh context must load the identical matrix without recomputing
     ctx2 = QuotientContext(datum, root, tf, cache_dir=str(tmp_path))
-    ctx2.free.pair_words = None  # loading must not touch the pairing
+    # loading must not touch the pairing, neither entry point nor recursion
+    ctx2.free.pair_words = None
+    ctx2.free._pair_words = None
     mat2 = ctx2.gram(nu)
     assert mat2 == mat
     # rewriting produces byte-identical content
@@ -310,4 +366,56 @@ def test_gram_disk_cache_roundtrip(tmp_path):
     assert files[0].read_bytes() == blob
     data = json.loads(blob)
     assert data["weight"] == [2, 1]
-    assert len(data["gram"]) == len(data["words"]) == 3
+    assert len(data["words"]) == 3
+    for key in ("plus", "minus"):
+        assert len(data["gram"][key]) == 3
+
+
+def _halve(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) // 2])
+
+
+def _edit_json(change):
+    def edit(path):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        change(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+    return edit
+
+
+def _text_format(path):
+    # the earlier cache format: rendered scalars, no version, no hash
+    path.write_text(json.dumps({
+        "weight": [1, 1],
+        "words": ["θ[1]θ[2]", "θ[2]θ[1]"],
+        "gram": [[{"plus": "1", "minus": "1"}, {"plus": "v^2", "minus": "v^2"}],
+                 [{"plus": "v^2", "minus": "v^2"}, {"plus": "1", "minus": "1"}]],
+    }), encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [
+    _halve,
+    _edit_json(lambda d: d["gram"]["plus"][0].__setitem__(0, [0, [2]])),
+    _edit_json(lambda d: d["words"].reverse()),
+    _edit_json(lambda d: d["gram"]["minus"][0].__setitem__(1, [2, [1, 0]])),
+    _edit_json(lambda d: d.__setitem__("format", 1)),
+    _text_format,
+    lambda path: path.write_bytes(b"\xff\xfe"),
+], ids=["halved", "coefficient", "words", "untrimmed", "version",
+        "text-format", "not-utf8"])
+def test_damaged_cache_file_exits_2(capsys, tmp_path, damage):
+    cache = tmp_path / "cache"
+    argv = ["canonical", "--datum", "osp14", "--height", "2",
+            "--cache", str(cache)]
+    assert main(argv) == 0
+    reference = capsys.readouterr().out
+    target, = cache.glob("*_1-1.json")
+    damage(target)
+    code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert str(target) in payload["error"]
+    target.unlink()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == reference

@@ -253,6 +253,11 @@ def test_render_parse_roundtrip(a):
     assert parse_scalar(render_scalar(a)) == a
 
 
+def test_parse_rejects_malformed_imaginary_part():
+    with pytest.raises(ValueError):
+        parse_scalar({"plus": "(1+2t)", "minus": "0"})
+
+
 def test_render_golden():
     x = (PiScalar.v_power(-2) * PS_T * PiScalar.from_rational(Fraction(3, 2))
          + PS_ONE)
