@@ -10,6 +10,10 @@ dimensions and pivot words, which is asserted.
 The radical is found by echelonizing the span of padded Serre elements
 and certifying completeness with a nonzero complementary Gram minor; if
 the certificate fails we fall back to a direct kernel computation.
+
+The class-coordinate table holds, per weight and component, the class of
+every word in pivot-word coordinates as integer Laurent polynomials over
+one common denominator, reduced fraction-free from the echelon rows.
 """
 
 import hashlib
@@ -21,37 +25,23 @@ from . import kernels
 from .cartan import stats_N, stats_p, weight_sub
 from .freealg import FreeAlgebra, FreeElement, render_word
 from .scalars import (
-    GaussianRational,
     LaurentPoly,
     PiScalar,
     RationalFn,
     lp_to_ratfn,
     qbinomial,
+    ratfn_to_lp,
 )
 
 _SIGNS = (1, -1)
 _SIGN_KEYS = {1: "plus", -1: "minus"}
 _CACHE_FORMAT = 2
+_LP_ONE = kernels.lp_const(1)
+_LEFT_MASS = "reduction left mass outside the pivot words"
 
 
 class GramCacheError(Exception):
     """An on-disk Gram cache file is unreadable or fails a check."""
-
-
-def _ratfn_to_lp(r):
-    """RationalFn -> integer Laurent kernel tuple; ValueError if not one."""
-    if r.den.coeffs != {0: GaussianRational(1)}:
-        raise ValueError("scalar has a genuine denominator")
-    if not r.num.coeffs:
-        return kernels.LP_ZERO
-    coeffs = {}
-    for e, c in r.num.coeffs.items():
-        if c.im != 0 or c.re.denominator != 1:
-            raise ValueError("scalar is not an integer Laurent polynomial")
-        coeffs[e] = int(c.re)
-    lo = min(coeffs)
-    hi = max(coeffs)
-    return kernels.lp_trim(lo, tuple(coeffs.get(e, 0) for e in range(lo, hi + 1)))
 
 
 def _canonical_json(data):
@@ -92,9 +82,15 @@ class QuotientContext:
         self._serre = {}     # (i, j) -> (weight, {sign: [(word, LP)]})
         self._radical = {}   # nu -> {sign: (rows, pivot_cols)}
         self._pivots = {}    # nu -> pivot word list
+        self._coords = {}    # nu -> {sign: (den, {word: coordinates})}
         self._radical_route = {}  # nu -> "serre" | "fallback"
         if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
+            try:
+                os.makedirs(cache_dir, exist_ok=True)
+            except OSError as e:
+                raise GramCacheError(
+                    f"Gram cache directory {cache_dir}: cannot create "
+                    f"({e})") from None
 
     # --- words and Gram matrices --------------------------------------------
 
@@ -199,9 +195,13 @@ class QuotientContext:
         data["sha256"] = _payload_hash(data)
         path = self._cache_path(nu)
         tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(data))
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(_canonical_json(data))
+            os.replace(tmp, path)
+        except OSError as e:
+            raise GramCacheError(
+                f"Gram cache file {path}: cannot write ({e})") from None
 
     # --- radical -----------------------------------------------------------------
 
@@ -229,7 +229,7 @@ class QuotientContext:
         if got is None:
             s = self.serre_element(i, j)
             got = (s.homogeneous_weight(self.datum.rank),
-                   {sign: [(w, _ratfn_to_lp(c.plus if sign > 0 else c.minus))
+                   {sign: [(w, ratfn_to_lp(c.plus if sign > 0 else c.minus))
                            for w, c in sorted(s.terms.items())]
                     for sign in _SIGNS})
             self._serre[(i, j)] = got
@@ -368,11 +368,74 @@ class QuotientContext:
                 if w in pivot_pos:
                     coords[pivot_pos[w]] = vec[t]
                 elif vec[t]:
-                    raise AssertionError(
-                        "reduction left mass outside the pivot words")
+                    raise ArithmeticError(_LEFT_MASS)
             comps[sign] = coords
         coords = [PiScalar(p, m) for p, m in zip(comps[1], comps[-1])]
         return pivot_words, coords
+
+    def class_coords(self, nu):
+        """The class of every word of weight nu on the pivot words.
+
+        Returns {sign: (den, table)}: table maps each word to a tuple of
+        integer Laurent kernel tuples, one per pivot word, and the class
+        coordinates are those entries divided by den.  den is 1 when
+        every coordinate is a Laurent polynomial, as on the catalog data
+        up to the heights the tests reach.  Built once per weight.
+        """
+        got = self._coords.get(nu)
+        if got is None:
+            got = {sign: self._coord_table(nu, sign) for sign in _SIGNS}
+            self._coords[nu] = got
+        return got
+
+    def _coord_table(self, nu, sign):
+        """Fraction-free reduction of every word against the echelon rows:
+        the cross-multiplication of kernels.vec_reduce, with the product
+        of the leads used divided out exactly at the end."""
+        rows, piv = self.radical(nu)[sign]
+        words = self.words(nu)
+        lead_row = {col: k for k, col in enumerate(piv)}
+        keep = [t for t in range(len(words)) if t not in lead_row]
+        table = {}
+        pending = {}     # word -> (vec, scale) with a genuine denominator
+        for t, w in enumerate(words):
+            k = lead_row.get(t)
+            if k is None:
+                table[w] = tuple(_LP_ONE if c == t else kernels.LP_ZERO
+                                 for c in keep)
+                continue
+            # rows above k lead in columns left of t, where vec is zero
+            vec = [kernels.LP_ZERO] * len(words)
+            vec[t] = _LP_ONE
+            scale = _LP_ONE
+            for row, col in zip(rows[k:], piv[k:]):
+                f = vec[col]
+                if f[1]:
+                    lead = row[col]
+                    vec = [kernels.lp_sub(kernels.lp_mul(lead, a),
+                                          kernels.lp_mul(f, b))
+                           for a, b in zip(vec, row)]
+                    scale = kernels.lp_mul(scale, lead)
+            if any(vec[col][1] for col in piv):
+                raise ArithmeticError(_LEFT_MASS)
+            try:
+                table[w] = tuple(kernels.lp_divexact(vec[c], scale)
+                                 for c in keep)
+            except ValueError:
+                pending[w] = (vec, scale)
+        den = _LP_ONE
+        if pending:
+            # each scale is a product of leads of distinct rows, so it
+            # divides the product of all leads
+            for row, col in zip(rows, piv):
+                den = kernels.lp_mul(den, row[col])
+            for w, coords in table.items():
+                table[w] = tuple(kernels.lp_mul(c, den) for c in coords)
+            for w, (vec, scale) in pending.items():
+                table[w] = tuple(
+                    kernels.lp_divexact(kernels.lp_mul(vec[c], den), scale)
+                    for c in keep)
+        return den, table
 
     def reduce_element(self, x):
         """The canonical pivot-word representative of x's class."""

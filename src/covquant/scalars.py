@@ -368,6 +368,21 @@ def lp_to_ratfn(a):
         {off + k: GaussianRational(c) for k, c in enumerate(coeffs) if c}))
 
 
+def ratfn_to_lp(r):
+    """RationalFn -> integer Laurent kernel tuple; ValueError if not one."""
+    if r.den.coeffs != {0: G_ONE}:
+        raise ValueError("scalar has a genuine denominator")
+    if not r.num.coeffs:
+        return (0, ())
+    coeffs = {}
+    for e, c in r.num.coeffs.items():
+        if c.im != 0 or c.re.denominator != 1:
+            raise ValueError("scalar is not an integer Laurent polynomial")
+        coeffs[e] = int(c.re)
+    lo = min(coeffs)
+    return (lo, tuple(coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)))
+
+
 class PiScalar:
     """Element of Q(t)(v)[pi]/(pi^2 - 1) as its (plus, minus) components."""
 

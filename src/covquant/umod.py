@@ -7,6 +7,13 @@ by the joint kernel of every raising word.  The raising action is unrolled
 from the commutator recursion, lowering is left concatenation, and the
 grouplike generators act diagonally.
 
+Each pi-component is built separately.  The raising and lowering
+matrices on pivot words are computed in integer Laurent arithmetic from
+the quotient context's class-coordinate tables, and the raising images
+are checked on the relation ideal there; they become RationalFn matrices
+only for the field elimination of linalg that cuts out the kernels and
+quotients.
+
 On top of the bare module the suites here dress the generators with
 t-power tables and check, block by block, that the dressed operators
 satisfy the sign-twisted defining relations: once for the weight-table
@@ -14,16 +21,14 @@ form of the twistor and once via the diagonal extension operators, plus
 the intertwining square that ties the half-algebra twistor to the latter.
 """
 
-import weakref
 from math import comb
 
-from . import linalg
+from . import kernels, linalg
 from .cartan import height, unit_weight, weight_add, weight_sub, weight_zero
-from .freealg import FreeElement
 from .halfqg import _SIGNS
 from .linalg import RF_ZERO
-from .scalars import PS_ONE, PS_PI, PS_ZERO, PiScalar, lp_to_ratfn, \
-    qbinomial, qfactorial, qinteger_signed
+from .scalars import PS_ONE, PS_PI, PiScalar, lp_to_ratfn, qbinomial, \
+    qfactorial, qinteger_signed, ratfn_to_lp
 
 
 class TruncationBoundary(Exception):
@@ -32,26 +37,6 @@ class TruncationBoundary(Exception):
 
 def _sp(x, sign):
     return x.plus if sign > 0 else x.minus
-
-
-_coord_tables = weakref.WeakKeyDictionary()
-
-
-def _class_coords(ctx, nu):
-    """Pivot coordinates of the class of every word of weight nu.
-
-    The table depends only on the quotient context, not on any highest
-    weight, so it is cached per context and shared between modules.
-    """
-    per_ctx = _coord_tables.setdefault(ctx, {})
-    got = per_ctx.get(nu)
-    if got is None:
-        got = {}
-        for w in ctx.words(nu):
-            _, coords = ctx.reduce_at(FreeElement({w: PS_ONE}), nu)
-            got[w] = coords
-        per_ctx[nu] = got
-    return got
 
 
 def _removals(word, i, datum):
@@ -70,6 +55,20 @@ def _removals(word, i, datum):
         offset = sum(datum.a(i, s) for s in word[t + 1:])
         out.append((word[:t] + word[t + 1:], parity, offset))
     return out
+
+
+_LP_ONE = kernels.lp_const(1)
+
+
+def _field_matrix(den, rows):
+    """Integer Laurent numerators over a common denominator -> RationalFn
+    rows for the field elimination."""
+    if den == _LP_ONE:
+        return [[lp_to_ratfn(a) if a[1] else RF_ZERO for a in row]
+                for row in rows]
+    d = lp_to_ratfn(den)
+    return [[lp_to_ratfn(a) / d if a[1] else RF_ZERO for a in row]
+            for row in rows]
 
 
 def _reduce_mod(rows, piv, vec):
@@ -140,6 +139,7 @@ class WeightModule:
         self.weights = [weight_zero(rank)]
         self.weights += ctx.free.weights_up_to_height(hmax)
 
+        self._brackets = {}
         self._e_pivot = {}
         self._f_pivot = {}
         for nu in self.weights:
@@ -162,6 +162,8 @@ class WeightModule:
     # -- construction ------------------------------------------------
 
     def _build_pivot_ops(self, nu):
+        """Raising and lowering matrices on the pivot words of nu, one
+        RationalFn matrix per sign, from integer class coordinates."""
         ctx = self.ctx
         rank = self.datum.rank
         pw = ctx.pivots(nu)
@@ -170,63 +172,86 @@ class WeightModule:
                 imgs, tgt = self._raising_images(i, nu)
                 self._check_raising_on_radical(i, nu, imgs, tgt)
                 m = ctx.dimension(tgt)
-                self._e_pivot[(i, nu)] = [
-                    [imgs[w][r] for w in pw] for r in range(m)]
+                for sign in _SIGNS:
+                    den = ctx.class_coords(tgt)[sign][0]
+                    img = imgs[sign]
+                    self._e_pivot[(sign, i, nu)] = _field_matrix(
+                        den, [[img[w][r] for w in pw] for r in range(m)])
         if height(nu) < self.hmax:
             for i in range(rank):
                 tgt = weight_add(nu, unit_weight(rank, i))
-                tcoords = _class_coords(ctx, tgt)
                 m = ctx.dimension(tgt)
-                self._f_pivot[(i, nu)] = [
-                    [tcoords[(i,) + w][r] for w in pw] for r in range(m)]
+                for sign in _SIGNS:
+                    den, table = ctx.class_coords(tgt)[sign]
+                    self._f_pivot[(sign, i, nu)] = _field_matrix(
+                        den, [[table[(i,) + w][r] for w in pw]
+                              for r in range(m)])
+
+    def _bracket(self, n, d):
+        """qinteger_signed(n, d) per sign as integer Laurent kernel tuples,
+        converted once per (n, d)."""
+        got = self._brackets.get((n, d))
+        if got is None:
+            q = qinteger_signed(n, d)
+            got = {sign: ratfn_to_lp(_sp(q, sign)) for sign in _SIGNS}
+            self._brackets[(n, d)] = got
+        return got
 
     def _raising_images(self, i, nu):
-        """Raising image of every word of nu, in pivot coordinates one
-        level up.  The word surgery is independent of the highest weight;
-        only the bracket scalars see lam."""
+        """Raising image of every word of nu in pivot coordinates one
+        level up: {sign: {word: numerators}} over the target's common
+        denominator.  The word surgery is independent of the highest
+        weight; only the bracket scalars see lam."""
         ctx = self.ctx
         datum = self.datum
         tgt = weight_sub(nu, unit_weight(datum.rank, i))
-        tcoords = _class_coords(ctx, tgt)
+        coords = ctx.class_coords(tgt)
         m = ctx.dimension(tgt)
         d_i = datum.d(i)
         n_i = self._pair_lam[i]
+        removals = [(w, _removals(w, i, datum)) for w in ctx.words(nu)]
         imgs = {}
-        for w in ctx.words(nu):
-            acc = [PS_ZERO] * m
-            for sub, parity, offset in _removals(w, i, datum):
-                c = qinteger_signed(n_i - offset, d_i)
-                if parity:
-                    c = c * PS_PI
-                if not c:
-                    continue
-                for r, s in enumerate(tcoords[sub]):
-                    if s:
-                        acc[r] = acc[r] + c * s
-            imgs[w] = acc
+        for sign in _SIGNS:
+            table = coords[sign][1]
+            out = {}
+            for w, rems in removals:
+                acc = [kernels.LP_ZERO] * m
+                for sub, parity, offset in rems:
+                    c = self._bracket(n_i - offset, d_i)[sign]
+                    if not c[1]:
+                        continue
+                    if parity and sign < 0:
+                        c = kernels.lp_neg(c)
+                    for r, s in enumerate(table[sub]):
+                        if s[1]:
+                            acc[r] = kernels.lp_add(acc[r],
+                                                    kernels.lp_mul(c, s))
+                out[w] = acc
+            imgs[sign] = out
         return imgs, tgt
 
     def _check_raising_on_radical(self, i, nu, imgs, tgt):
         # The unrolled recursion is only well defined on the quotient if
         # it sends the relation ideal into the relation ideal; that it
         # does is a theorem, so any residue here means an arithmetic bug.
+        # The images share one nonzero denominator, so the numerators
+        # must vanish.
         ctx = self.ctx
         words = ctx.words(nu)
         m = ctx.dimension(tgt)
         for sign in _SIGNS:
             rows, _ = ctx.radical(nu)[sign]
+            img = imgs[sign]
             for row in rows:
-                acc = [RF_ZERO] * m
-                for t, w in enumerate(words):
-                    if not row[t][1]:
+                acc = [kernels.LP_ZERO] * m
+                for a, w in zip(row, words):
+                    if not a[1]:
                         continue
-                    c = lp_to_ratfn(row[t])
-                    img = imgs[w]
-                    for r in range(m):
-                        comp = _sp(img[r], sign)
-                        if comp:
-                            acc[r] = acc[r] + c * comp
-                if any(acc):
+                    for r, s in enumerate(img[w]):
+                        if s[1]:
+                            acc[r] = kernels.lp_add(acc[r],
+                                                    kernels.lp_mul(a, s))
+                if any(x[1] for x in acc):
                     raise ArithmeticError(
                         "raising recursion is inconsistent on the relation "
                         f"ideal at weight {nu} (generator "
@@ -248,11 +273,11 @@ class WeightModule:
                 tgt = weight_sub(nu, unit_weight(rank, i))
                 trows = self._nrows[(sign, tgt)]
                 tpiv = self._npiv[(sign, tgt)]
-                mat = self._e_pivot[(i, nu)]
+                mat = self._e_pivot[(sign, i, nu)]
                 m = len(mat)
                 cols = []
                 for cidx in range(n):
-                    col = [_sp(mat[r][cidx], sign) for r in range(m)]
+                    col = [mat[r][cidx] for r in range(m)]
                     cols.append(_reduce_mod(trows, tpiv, col))
                 stacked.extend(
                     [cols[cidx][r] for cidx in range(n)] for r in range(m))
@@ -270,7 +295,7 @@ class WeightModule:
         m = len(pivot_mat)
         cols = []
         for c in free_src:
-            col = [_sp(pivot_mat[r][c], sign) for r in range(m)]
+            col = [pivot_mat[r][c] for r in range(m)]
             col = _reduce_mod(trows, tpiv, col)
             cols.append([col[r] for r in tfree])
         return [[cols[ci][r] for ci in range(len(free_src))]
@@ -283,10 +308,10 @@ class WeightModule:
             if nu[i]:
                 tgt = weight_sub(nu, unit_weight(rank, i))
                 self._eop[(sign, i, nu)] = self._project_op(
-                    self._e_pivot[(i, nu)], sign, free_src, tgt)
+                    self._e_pivot[(sign, i, nu)], sign, free_src, tgt)
             if height(nu) < self.hmax:
                 tgt = weight_add(nu, unit_weight(rank, i))
-                mat = self._f_pivot[(i, nu)]
+                mat = self._f_pivot[(sign, i, nu)]
                 m = len(mat)
                 trows = self._nrows[(sign, tgt)]
                 tpiv = self._npiv[(sign, tgt)]
@@ -296,7 +321,7 @@ class WeightModule:
                         acc = RF_ZERO
                         for t, f in enumerate(row):
                             if f:
-                                comp = _sp(mat[r][t], sign)
+                                comp = mat[r][t]
                                 if comp:
                                     acc = acc + f * comp
                         img.append(acc)

@@ -151,3 +151,83 @@ def rank1_dims_oracle(n, hmax, sign):
                 rank1_raising_scalar_oracle(n, k, sign)) != 0
         dims.append(1 if alive else 0)
     return dims
+
+
+# --- type B root combinatorics: Kostant counts and Weyl dimensions ---------------
+#
+# The finite catalog data osp(1|2n) share the even root combinatorics of
+# so(2n+1), type B_n.  Realized in the basis e_1..e_n with the catalog's
+# index order (the odd short simple root first): alpha_0 = e_n and
+# alpha_k = e_{n-k} - e_{n-k+1} for k >= 1.
+
+
+def _b_simple_coords(n, x):
+    """e-basis vector -> simple-root coordinates: c_k = x_1 + ... + x_{n-k}."""
+    return tuple(sum(x[:n - k]) for k in range(n))
+
+
+def _b_positive_roots_e(n):
+    """Positive roots of B_n in the e basis: e_i, e_i - e_j, e_i + e_j."""
+    def unit(i):
+        return [int(t == i) for t in range(n)]
+    roots = [unit(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            roots.append([a - b for a, b in zip(unit(i), unit(j))])
+            roots.append([a + b for a, b in zip(unit(i), unit(j))])
+    return roots
+
+
+def b_positive_roots(n):
+    """Positive roots of B_n in simple-root coordinates, catalog order."""
+    return [_b_simple_coords(n, r) for r in _b_positive_roots_e(n)]
+
+
+def kostant_partition(n, nu):
+    """Ways to write nu as an unordered sum of positive roots of B_n."""
+    roots = b_positive_roots(n)
+
+    def count(rest, start):
+        if not any(rest):
+            return 1
+        total = 0
+        for k in range(start, len(roots)):
+            left = tuple(a - b for a, b in zip(rest, roots[k]))
+            if min(left) >= 0:
+                total += count(left, k)
+        return total
+
+    return count(tuple(nu), 0)
+
+
+def _b_weight_e(n, lam):
+    """Fundamental-weight coordinates (catalog order) -> e basis.
+
+    The weight dual to alpha_0 is (e_1 + ... + e_n)/2, the one dual to
+    alpha_k (k >= 1) is e_1 + ... + e_{n-k}."""
+    x = [Fraction(lam[0], 2)] * n
+    for k in range(1, n):
+        for i in range(n - k):
+            x[i] += lam[k]
+    return x
+
+
+def weyl_dimension_b(n, lam):
+    """prod over positive roots alpha of (lam + rho, alpha) / (rho, alpha),
+    with rho = (n - 1/2, n - 3/2, ..., 1/2) in the e basis."""
+    rho = [Fraction(2 * (n - i) - 1, 2) for i in range(n)]
+    shifted = [a + b for a, b in zip(_b_weight_e(n, lam), rho)]
+    dim = Fraction(1)
+    for r in _b_positive_roots_e(n):
+        dim *= (sum(a * b for a, b in zip(shifted, r))
+                / sum(a * b for a, b in zip(rho, r)))
+    assert dim.denominator == 1, dim
+    return int(dim)
+
+
+def b_module_depth(n, lam):
+    """Height of lam - w0 lam = 2 lam (w0 = -1 on B_n): the depth of the
+    lowest weight, so a window of this height holds the whole module."""
+    depth = sum(_b_simple_coords(n, [2 * a for a in _b_weight_e(n, lam)]))
+    assert depth.denominator == 1, depth
+    return int(depth)

@@ -112,6 +112,30 @@ def test_canonical_deterministic_and_cache_invariant(tmp_path):
     assert out.read_bytes() == outs[0]
 
 
+def test_cache_path_is_a_file_exits_2(capsys, tmp_path):
+    notadir = tmp_path / "notadir"
+    notadir.write_text("", encoding="utf-8")
+    code, payload = run_cli(capsys, ["canonical", "--datum", "osp14",
+                                     "--height", "2", "--cache", str(notadir)])
+    assert code == 2
+    assert str(notadir) in payload["error"]
+
+
+def test_cache_write_failure_exits_2(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["canonical", "--datum", "osp14", "--height", "2",
+            "--cache", str(cache)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    target, = cache.glob("*_1-1.json")
+    target.unlink()
+    # a directory where the temporary file would go blocks the write
+    (cache / (target.name + ".tmp")).mkdir()
+    code, payload = run_cli(capsys, argv)
+    assert code == 2
+    assert str(target) in payload["error"]
+
+
 def test_height_cap(capsys):
     code, payload = run_cli(
         capsys, ["canonical", "--datum", "osp12",

@@ -10,10 +10,11 @@ from covquant import kernels
 from covquant.catalog import all_catalog_names, catalog_datum, finite_catalog_names
 from covquant.cli import main
 from covquant.freealg import FreeElement, render_element
-from covquant.halfqg import QuotientContext, _ratfn_to_lp
-from covquant.scalars import PS_ONE, PiScalar, lp_to_ratfn
+from covquant.halfqg import QuotientContext
+from covquant.scalars import PS_ONE, PiScalar, lp_to_ratfn, ratfn_to_lp
 
 from oracles import (
+    kostant_partition,
     lp_pair_matches_pi_expr,
     lp_to_sympy,
     pair_words_oracle,
@@ -187,6 +188,87 @@ def test_dimension_pi_independent():
                 assert gram_sympy(ctx, nu, sign).rank() == dim
 
 
+@pytest.mark.parametrize("name,height", [("osp14", 6), ("osp16", 4)])
+def test_dimension_matches_kostant_partition(name, height):
+    # dim f_nu at both signs is the number of ways to write nu as a sum
+    # of positive roots of the even type B_n
+    datum, root, tf = catalog_datum(name)
+    ctx = QuotientContext(datum, root, tf)
+    for nu in ctx.free.weights_up_to_height(height):
+        want = kostant_partition(datum.rank, nu)
+        assert ctx.dimension(nu) == want, nu
+        for sign in (1, -1):
+            rows, _ = ctx.radical(nu)[sign]
+            assert len(ctx.words(nu)) - len(rows) == want, (nu, sign)
+
+
+# --- class-coordinate table -----------------------------------------------------
+
+
+def _assert_table_matches_reduce_at(ctx, nu):
+    table = ctx.class_coords(nu)
+    for w in ctx.words(nu):
+        pivots, coords = ctx.reduce_at(ctx.free.monomial(w), nu)
+        assert pivots == ctx.pivots(nu)
+        for sign in (1, -1):
+            den, nums = table[sign]
+            got = [lp_to_ratfn(a) / lp_to_ratfn(den) for a in nums[w]]
+            assert got == [c.plus if sign > 0 else c.minus for c in coords], \
+                (nu, w, sign)
+
+
+@pytest.mark.parametrize("name,height", [
+    ("osp14", 6), ("osp16", 4), ("osp12_a1", 5), ("affine_b01", 5)])
+def test_class_coords_match_reduce_at(name, height):
+    # the fraction-free table against the field-arithmetic reduction
+    ctx = QuotientContext(*catalog_datum(name))
+    for nu in ctx.free.weights_up_to_height(height):
+        _assert_table_matches_reduce_at(ctx, nu)
+        for sign in (1, -1):
+            assert ctx.class_coords(nu)[sign][0] == LP_ONE, (nu, sign)
+
+
+def _plant_radical(ctx, nu, rows, piv):
+    """Replace the radical at nu by hand-built echelon rows per sign."""
+    words = ctx.words(nu)
+    ctx._radical[nu] = {sign: (rows[sign], piv) for sign in (1, -1)}
+    ctx._pivots[nu] = [w for t, w in enumerate(words) if t not in piv]
+
+
+def test_class_coords_genuine_denominator():
+    # leads 2 and 1 - v (plus), 1 + v^2 (minus) are not units of
+    # Z[v, v^-1], so some coordinates are not Laurent polynomials
+    ctx = QuotientContext(*catalog_datum("osp14"))
+    nu = (2, 1)
+    zero = kernels.LP_ZERO
+    rows = {
+        1: [[(0, (2,)), (0, (1, 1)), (-1, (1,))],
+            [zero, (0, (1, -1)), (0, (3,))]],
+        -1: [[(2, (-1,)), LP_ONE, zero],
+             [zero, (0, (1, 0, 1)), (1, (1,))]],
+    }
+    _plant_radical(ctx, nu, rows, [0, 1])
+    _assert_table_matches_reduce_at(ctx, nu)
+    for sign in (1, -1):
+        assert ctx.class_coords(nu)[sign][0] != LP_ONE
+        _, coords = ctx.reduce_at(ctx.free.monomial(ctx.words(nu)[1]), nu)
+        assert not coords[0].specialize(sign).is_laurent()
+
+
+def test_reduction_left_mass_raises_arithmetic_error():
+    # the second row has mass in the first row's lead column, so these
+    # rows are not in echelon form and reduction cannot clear it
+    ctx = QuotientContext(*catalog_datum("osp14"))
+    nu = (2, 1)
+    zero = kernels.LP_ZERO
+    rows = [[LP_ONE, zero, zero], [LP_ONE, LP_ONE, zero]]
+    _plant_radical(ctx, nu, {1: rows, -1: rows}, [0, 1])
+    with pytest.raises(ArithmeticError, match="outside the pivot words"):
+        ctx.reduce_at(ctx.free.monomial(ctx.words(nu)[1]), nu)
+    with pytest.raises(ArithmeticError, match="outside the pivot words"):
+        ctx.class_coords(nu)
+
+
 # --- Serre elements ------------------------------------------------------------
 
 
@@ -315,7 +397,7 @@ def _to_int_rows(el, index):
     for sign in (1, -1):
         vec = [kernels.LP_ZERO] * len(index)
         for w, c in el.terms.items():
-            vec[index[w]] = _ratfn_to_lp(c.plus if sign > 0 else c.minus)
+            vec[index[w]] = ratfn_to_lp(c.plus if sign > 0 else c.minus)
         out[sign] = vec
     return out
 

@@ -24,9 +24,11 @@ from covquant.umod import (
 )
 
 from oracles import (
+    b_module_depth,
     ratfn_to_sympy,
     rank1_dims_oracle,
     rank1_raising_scalar_oracle,
+    weyl_dimension_b,
 )
 import sympy
 
@@ -163,6 +165,23 @@ def test_fundamental_characters_close_up(ctx14):
     assert sum(ch.values()) == 5 and ch == character(m, -1)
     blocks = [nu for nu in m.weights if m.dimension(nu, 1)]
     assert blocks == [(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("lam", [(1, 0), (0, 1), (2, 0), (1, 1)])
+def test_full_window_dimension_matches_weyl_osp14(ctx14, lam):
+    # a window down to the lowest weight holds the whole module, whose
+    # dimension at both signs is the Weyl dimension of type B2
+    m = build_module(ctx14, lam, b_module_depth(2, lam))
+    for sign in (1, -1):
+        assert sum(character(m, sign).values()) == weyl_dimension_b(2, lam)
+
+
+def test_full_window_dimension_matches_weyl_osp16():
+    lam = (1, 0, 0)
+    ctx = QuotientContext(*catalog_datum("osp16"))
+    m = build_module(ctx, lam, b_module_depth(3, lam))
+    for sign in (1, -1):
+        assert sum(character(m, sign).values()) == weyl_dimension_b(3, lam)
 
 
 def test_character_report_schema(ctx14):
