@@ -12,6 +12,13 @@ import json
 from fractions import Fraction
 
 
+def _as_int(c):
+    """A datum entry: a JSON integer, never a bool, float or string."""
+    if type(c) is not int:
+        raise TypeError(f"datum entries must be integers, got {c!r}")
+    return c
+
+
 class SuperCartanDatum:
     """Index list (ordered), symmetric dot matrix, parity vector."""
 
@@ -19,8 +26,8 @@ class SuperCartanDatum:
 
     def __init__(self, indices, dot, parity):
         self.indices = tuple(str(i) for i in indices)
-        self.dot = tuple(tuple(int(c) for c in row) for row in dot)
-        self.parity = tuple(int(p) for p in parity)
+        self.dot = tuple(tuple(_as_int(c) for c in row) for row in dot)
+        self.parity = tuple(_as_int(p) for p in parity)
         n = len(self.indices)
         if len(self.dot) != n or any(len(r) != n for r in self.dot):
             raise ValueError("dot matrix shape does not match index list")
@@ -350,11 +357,11 @@ class RootDatum:
     __slots__ = ("rankY", "rankX", "pairing", "embX", "embY")
 
     def __init__(self, rankY, rankX, pairing, embX, embY):
-        self.rankY = rankY
-        self.rankX = rankX
-        self.pairing = tuple(tuple(int(c) for c in row) for row in pairing)
-        self.embX = tuple(tuple(int(c) for c in v) for v in embX)
-        self.embY = tuple(tuple(int(c) for c in v) for v in embY)
+        self.rankY = _as_int(rankY)
+        self.rankX = _as_int(rankX)
+        self.pairing = tuple(tuple(_as_int(c) for c in row) for row in pairing)
+        self.embX = tuple(tuple(_as_int(c) for c in v) for v in embX)
+        self.embY = tuple(tuple(_as_int(c) for c in v) for v in embY)
 
     @staticmethod
     def simply_connected(datum):
@@ -364,6 +371,9 @@ class RootDatum:
         """
         n = datum.rank
         A = datum.cartan_matrix()
+        if any(Fraction(a).denominator != 1 for row in A for a in row):
+            raise ValueError("Cartan integers 2(i.j)/(i.i) must be integers")
+        A = [[int(a) for a in row] for row in A]
         if _int_det(A) != 0:
             rank = n
             embX = [tuple(A[i][j] for i in range(n)) for j in range(n)]
@@ -465,7 +475,7 @@ class TwistForm:
         self._H, self._U, self._pivots = hnf_columns(M, n)
         self.user_transversal = None
         if user_transversal is not None:
-            self.user_transversal = [tuple(int(c) for c in v)
+            self.user_transversal = [tuple(_as_int(c) for c in v)
                                      for v in user_transversal]
 
     def phi(self, nu, mu):

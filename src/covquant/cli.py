@@ -21,7 +21,7 @@ from .catalog import CATALOG
 from .crystal import Crystal
 from .freealg import render_word
 from .halfqg import GramCacheError, QuotientContext
-from .scalars import PS_ONE, render_scalar
+from .scalars import PS_ONE, SIGNS, render_scalar
 
 HEIGHT_CAP = 8
 
@@ -101,7 +101,7 @@ def _check_height(cfg):
 
 
 def _signs(cfg):
-    return {"+1": (1,), "-1": (-1,), "both": (1, -1)}[cfg.pi]
+    return {"+1": (1,), "-1": (-1,), "both": SIGNS}[cfg.pi]
 
 
 def _wrap(cfg, command, payload):

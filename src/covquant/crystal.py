@@ -12,16 +12,15 @@ mod vL is invisible there.
 """
 
 from .freealg import FreeElement
-from .linalg import RF_ZERO, identity, solve
+from .linalg import RF_ZERO, identity, reduce, rref, solve
 from .scalars import (
     GaussianRational,
     LaurentPoly,
     PS_ONE,
     PiScalar,
     RationalFn,
+    SIGNS,
 )
-
-_SIGNS = (1, -1)
 
 
 class StringDecomposition:
@@ -134,6 +133,7 @@ def _positive(g):
     return g.im > 0
 
 
+# Not linalg.rref/reduce: these two pivot by v-adic valuation over A.
 def _dvr_echelon(rows):
     """Echelonize rows over A (regular at v = 0) by minimal-valuation
     pivoting.  Returns [(pivot_col, row)] in processing order; every
@@ -251,7 +251,7 @@ class Crystal:
 
     def _process_weight(self, nu, candidates):
         ctx = self.ctx
-        vectors = {s: [] for s in _SIGNS}
+        vectors = {s: [] for s in SIGNS}
         reduced = []
         for label, el in candidates:
             pivot_words, coords = ctx.reduce_at(el, nu)
@@ -261,9 +261,9 @@ class Crystal:
                         "a crystal generator has a pole at v = 0 in pivot "
                         f"coordinates at weight {nu}")
             reduced.append((label, pivot_words, coords))
-            for s in _SIGNS:
+            for s in SIGNS:
                 vectors[s].append([c.specialize(s) for c in coords])
-        echelon = {s: _dvr_echelon(vectors[s]) for s in _SIGNS}
+        echelon = {s: _dvr_echelon(vectors[s]) for s in SIGNS}
         if len(echelon[1]) != len(echelon[-1]):
             raise ArithmeticError(
                 f"lattice ranks differ between pi-components at {nu}")
@@ -271,7 +271,7 @@ class Crystal:
         bucket = self.by_weight.setdefault(nu, [])
         for t, (label, pivot_words, coords) in enumerate(reduced):
             v0 = []
-            for s in _SIGNS:
+            for s in SIGNS:
                 a = _lattice_coords(echelon[s], vectors[s][t])
                 if a is None:
                     raise ArithmeticError(
@@ -339,15 +339,9 @@ class Crystal:
         """Is one pi-component of the residue vector in the span of the
         bucket's?  The classes must stay independent in each component
         separately, or they fail to be a basis at that specialization."""
-        echelon = []
-        for other in bucket:
-            row = _field_reduce(echelon, list(other.v0[side]))
-            lead = next((t for t, x in enumerate(row) if x), None)
-            if lead is not None:
-                echelon.append((lead, row))
-                echelon.sort(key=lambda p: p[0])
-        vec = _field_reduce(echelon, list(v0[side]))
-        return not any(vec)
+        rows, pivots = rref([other.v0[side] for other in bucket],
+                            len(v0[side]))
+        return not any(reduce(rows, pivots, list(v0[side])))
 
     def _canonicalized(self, label, nu, pivot_words, coords, v0):
         sign = 1
@@ -384,7 +378,7 @@ class Crystal:
         echelon = self._lattice[nu]
         _, coords = self.ctx.reduce_at(x, nu)
         out = []
-        for s in _SIGNS:
+        for s in SIGNS:
             a = _lattice_coords(echelon[s], [c.specialize(s) for c in coords])
             if a is None:
                 return None
@@ -419,7 +413,7 @@ class Crystal:
                 f"{len(pivot_words)} at weight {nu}")
         n = len(elements)
         rinv = {}
-        for sign in _SIGNS:
+        for sign in SIGNS:
             A = [[elements[s].coords[w].specialize(sign) for s in range(n)]
                  for w in range(len(pivot_words))]
             rinv[sign] = solve(A, identity(n))
@@ -485,7 +479,7 @@ class Crystal:
         """Per-sign coordinates of x over the crystal representatives."""
         _, coords = self.ctx.reduce_at(x, nu)
         out = {}
-        for sign in _SIGNS:
+        for sign in SIGNS:
             vec = [c.specialize(sign) for c in coords]
             out[sign] = [sum((rinv[sign][s][w] * vec[w]
                               for w in range(len(vec)) if vec[w]),
@@ -498,17 +492,17 @@ class Crystal:
         (element, coords) on success and None when a needed G(b') is not
         available yet."""
         z, zc = start
-        zc = {s: list(zc[s]) for s in _SIGNS}
+        zc = {s: list(zc[s]) for s in SIGNS}
         n = len(zc[1])
-        depth = max((-zc[s][j].valuation() for s in _SIGNS for j in range(n)
+        depth = max((-zc[s][j].valuation() for s in SIGNS for j in range(n)
                      if zc[s][j]), default=0)
         for _ in range(max(depth, 0) + 3):
             defects = {}
             for j in range(n):
                 if j == t:
                     continue
-                bad = {s: _bad_part(zc[s][j]) for s in _SIGNS}
-                if any(bad[s] for s in _SIGNS):
+                bad = {s: _bad_part(zc[s][j]) for s in SIGNS}
+                if any(bad[s] for s in SIGNS):
                     defects[j] = bad
             if not defects:
                 break
@@ -518,7 +512,7 @@ class Crystal:
                 r = PiScalar(RationalFn(_bar_complete(bad[1], 1)),
                              RationalFn(_bar_complete(bad[-1], -1)))
                 z = z - G_elems[j].scale(r)
-                for s in _SIGNS:
+                for s in SIGNS:
                     rs = r.specialize(s)
                     zc[s] = [a - rs * b
                              for a, b in zip(zc[s], G_coords[j][s])]
@@ -527,7 +521,7 @@ class Crystal:
                 f"canonical basis correction did not flatten the poles "
                 f"at weight {nu}")
         units = {}
-        for s in _SIGNS:
+        for s in SIGNS:
             own = zc[s][t]
             if own.valuation() != 0:
                 raise ArithmeticError(
@@ -541,7 +535,7 @@ class Crystal:
         if units[1] != GaussianRational(1) or units[-1] != GaussianRational(1):
             u = PiScalar(RationalFn(units[1]), RationalFn(units[-1]))
             z = z.scale(u)
-            for s in _SIGNS:
+            for s in SIGNS:
                 rs = RationalFn(units[s])
                 zc[s] = [a * rs for a in zc[s]]
         return self.ctx.reduce_element(z), zc
@@ -637,12 +631,3 @@ class Crystal:
                 "in_lattice": good,
             })
         return {"height": self.height, "pass": ok, "entries": entries}
-
-
-def _field_reduce(echelon, vec):
-    """Reduce vec against (lead, row) pairs sorted by lead column."""
-    for lead, row in echelon:
-        if vec[lead]:
-            f = vec[lead] / row[lead]
-            vec = [x - f * y for x, y in zip(vec, row)]
-    return vec

@@ -28,12 +28,12 @@ from .scalars import (
     LaurentPoly,
     PiScalar,
     RationalFn,
+    SIGNS,
     lp_to_ratfn,
     qbinomial,
     ratfn_to_lp,
 )
 
-_SIGNS = (1, -1)
 _SIGN_KEYS = {1: "plus", -1: "minus"}
 _CACHE_FORMAT = 2
 _LP_ONE = kernels.lp_const(1)
@@ -114,7 +114,7 @@ class QuotientContext:
             memo = self._pair_memo
             cells = [[pair(w1, w2, memo) for w2 in words] for w1 in words]
             got = {sign: [[c[t] for c in row] for row in cells]
-                   for t, sign in enumerate(_SIGNS)}
+                   for t, sign in enumerate(SIGNS)}
             self._store_gram(nu, got)
         self._gram[nu] = got
         return got
@@ -164,7 +164,7 @@ class QuotientContext:
         if not isinstance(gram, dict) or set(gram) != set(_SIGN_KEYS.values()):
             raise bad("gram must map plus and minus to matrices")
         mat = {}
-        for sign in _SIGNS:
+        for sign in SIGNS:
             rows = gram[_SIGN_KEYS[sign]]
             if not (isinstance(rows, list) and len(rows) == n and all(
                     isinstance(r, list) and len(r) == n for r in rows)):
@@ -190,7 +190,7 @@ class QuotientContext:
             "words": [render_word(self.datum, w) for w in self.words(nu)],
             "gram": {_SIGN_KEYS[sign]: [[[a[0], list(a[1])] for a in row]
                                         for row in mat[sign]]
-                     for sign in _SIGNS},
+                     for sign in SIGNS},
         }
         data["sha256"] = _payload_hash(data)
         path = self._cache_path(nu)
@@ -231,7 +231,7 @@ class QuotientContext:
             got = (s.homogeneous_weight(self.datum.rank),
                    {sign: [(w, ratfn_to_lp(c.plus if sign > 0 else c.minus))
                            for w, c in sorted(s.terms.items())]
-                    for sign in _SIGNS})
+                    for sign in SIGNS})
             self._serre[(i, j)] = got
         return got
 
@@ -257,7 +257,7 @@ class QuotientContext:
                     for u in self.words(left):
                         for w in self.words(right):
                             row = {}
-                            for sign in _SIGNS:
+                            for sign in SIGNS:
                                 vec = [kernels.LP_ZERO] * len(words)
                                 for word, c in terms[sign]:
                                     vec[index[u + word + w]] = c
@@ -278,7 +278,7 @@ class QuotientContext:
         serre_rows = self._serre_span_rows(nu)
         result = {}
         route = "serre"
-        for sign in _SIGNS:
+        for sign in SIGNS:
             rows = [r[sign] for r in serre_rows]
             ech, piv = kernels.echelon(rows, ncols)
             gm = self.gram_component(nu, sign)
@@ -287,7 +287,7 @@ class QuotientContext:
             else:
                 route = "fallback"
                 result[sign] = self._kernel_direct(gm, ncols)
-        lead_sets = {tuple(result[s][1]) for s in _SIGNS}
+        lead_sets = {tuple(result[s][1]) for s in SIGNS}
         if len(lead_sets) != 1:
             raise ArithmeticError(
                 f"radical pivot words differ between pi-components at {nu}")
@@ -353,7 +353,7 @@ class QuotientContext:
         pivot_words = self._pivots[nu]
         pivot_pos = {w: t for t, w in enumerate(pivot_words)}
         comps = {}
-        for sign in _SIGNS:
+        for sign in SIGNS:
             vec = self._component_vector(x, nu, sign)
             rows, piv = rad[sign]
             for row, lead in zip(rows, piv):
@@ -384,7 +384,7 @@ class QuotientContext:
         """
         got = self._coords.get(nu)
         if got is None:
-            got = {sign: self._coord_table(nu, sign) for sign in _SIGNS}
+            got = {sign: self._coord_table(nu, sign) for sign in SIGNS}
             self._coords[nu] = got
         return got
 

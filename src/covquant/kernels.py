@@ -1,15 +1,15 @@
 """Integer Laurent polynomial arithmetic and fraction-free elimination.
 
-This is the pure-Python kernel.  A Laurent polynomial with integer
-coefficients is stored as a pair ``(offset, coeffs)`` where ``coeffs`` is a
-tuple of ints with nonzero first and last entry (or the empty tuple for
-zero); the represented value is ``sum(coeffs[t] * v**(offset + t))``.
-
-The compiled twin ``_intpoly_c`` implements the same contract; callers must
-treat the two as interchangeable.
+A Laurent polynomial with integer coefficients is stored as a pair
+``(offset, coeffs)`` where ``coeffs`` is a tuple of ints with nonzero first
+and last entry (or the empty tuple for zero); the represented value is
+``sum(coeffs[t] * v**(offset + t))``.
 """
 
 from math import gcd
+
+# Reported by perfbench/run.py with its results.
+IMPLEMENTATION = "py"
 
 LP_ZERO = (0, ())
 

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over the per-component scalar field.
 
-Matrices are lists of lists of RationalFn (one pi-component at a time).
-Sizes at desk scale are small, so plain fraction-arithmetic Gaussian
-elimination with first-nonzero pivoting is fine and keeps pivot choices
-deterministic.
+Matrices are lists of lists of RationalFn (one pi-component at a time);
+rref and reduce also take GaussianRational entries (the crystal's residue
+vectors at v = 0).  Sizes at desk scale are small, so plain
+fraction-arithmetic Gaussian elimination with first-nonzero pivoting is
+fine and keeps pivot choices deterministic.
 """
 
 from .scalars import LaurentPoly, RationalFn
@@ -34,8 +35,8 @@ def _eliminate(mat, ncols):
         if pick is None:
             continue
         mat[r], mat[pick] = mat[pick], mat[r]
-        inv_lead = RF_ONE / mat[r][c]
-        mat[r] = [x * inv_lead for x in mat[r]]
+        lead = mat[r][c]
+        mat[r] = [x / lead for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
@@ -67,6 +68,16 @@ def rref(a, ncols):
     work = [list(r) for r in a]
     pivots = _eliminate(work, ncols)
     return [work[r] for r, _ in pivots], [c for _, c in pivots]
+
+
+def reduce(rows, pivots, vec):
+    """Reduce vec against rref rows (leading entries 1); the result is
+    zero iff vec lies in their span."""
+    for row, c in zip(rows, pivots):
+        f = vec[c]
+        if f:
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return vec
 
 
 def kernel(a, ncols):

@@ -383,6 +383,10 @@ def ratfn_to_lp(r):
     return (lo, tuple(coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)))
 
 
+# The values of pi, in the order of PiScalar's (plus, minus) components.
+SIGNS = (1, -1)
+
+
 class PiScalar:
     """Element of Q(t)(v)[pi]/(pi^2 - 1) as its (plus, minus) components."""
 

@@ -25,10 +25,9 @@ from math import comb
 
 from . import kernels, linalg
 from .cartan import height, unit_weight, weight_add, weight_sub, weight_zero
-from .halfqg import _SIGNS
 from .linalg import RF_ZERO
-from .scalars import PS_ONE, PS_PI, PiScalar, lp_to_ratfn, qbinomial, \
-    qfactorial, qinteger_signed, ratfn_to_lp
+from .scalars import PS_ONE, PS_PI, PiScalar, SIGNS, lp_to_ratfn, \
+    qbinomial, qfactorial, qinteger_signed, ratfn_to_lp
 
 
 class TruncationBoundary(Exception):
@@ -69,15 +68,6 @@ def _field_matrix(den, rows):
     d = lp_to_ratfn(den)
     return [[lp_to_ratfn(a) / d if a[1] else RF_ZERO for a in row]
             for row in rows]
-
-
-def _reduce_mod(rows, piv, vec):
-    """Reduce vec against normalized echelon rows (leading entries 1)."""
-    for row, c in zip(rows, piv):
-        f = vec[c]
-        if f:
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec
 
 
 def _mul(a, b, ncols):
@@ -149,13 +139,13 @@ class WeightModule:
         self._npiv = {}
         self._free = {}
         self._basis = {}
-        for sign in _SIGNS:
+        for sign in SIGNS:
             for nu in self.weights:
                 self._build_kernel(sign, nu)
 
         self._eop = {}
         self._fop = {}
-        for sign in _SIGNS:
+        for sign in SIGNS:
             for nu in self.weights:
                 self._build_quotient_ops(sign, nu)
 
@@ -172,7 +162,7 @@ class WeightModule:
                 imgs, tgt = self._raising_images(i, nu)
                 self._check_raising_on_radical(i, nu, imgs, tgt)
                 m = ctx.dimension(tgt)
-                for sign in _SIGNS:
+                for sign in SIGNS:
                     den = ctx.class_coords(tgt)[sign][0]
                     img = imgs[sign]
                     self._e_pivot[(sign, i, nu)] = _field_matrix(
@@ -181,7 +171,7 @@ class WeightModule:
             for i in range(rank):
                 tgt = weight_add(nu, unit_weight(rank, i))
                 m = ctx.dimension(tgt)
-                for sign in _SIGNS:
+                for sign in SIGNS:
                     den, table = ctx.class_coords(tgt)[sign]
                     self._f_pivot[(sign, i, nu)] = _field_matrix(
                         den, [[table[(i,) + w][r] for w in pw]
@@ -193,7 +183,7 @@ class WeightModule:
         got = self._brackets.get((n, d))
         if got is None:
             q = qinteger_signed(n, d)
-            got = {sign: ratfn_to_lp(_sp(q, sign)) for sign in _SIGNS}
+            got = {sign: ratfn_to_lp(_sp(q, sign)) for sign in SIGNS}
             self._brackets[(n, d)] = got
         return got
 
@@ -211,7 +201,7 @@ class WeightModule:
         n_i = self._pair_lam[i]
         removals = [(w, _removals(w, i, datum)) for w in ctx.words(nu)]
         imgs = {}
-        for sign in _SIGNS:
+        for sign in SIGNS:
             table = coords[sign][1]
             out = {}
             for w, rems in removals:
@@ -239,7 +229,7 @@ class WeightModule:
         ctx = self.ctx
         words = ctx.words(nu)
         m = ctx.dimension(tgt)
-        for sign in _SIGNS:
+        for sign in SIGNS:
             rows, _ = ctx.radical(nu)[sign]
             img = imgs[sign]
             for row in rows:
@@ -278,7 +268,7 @@ class WeightModule:
                 cols = []
                 for cidx in range(n):
                     col = [mat[r][cidx] for r in range(m)]
-                    cols.append(_reduce_mod(trows, tpiv, col))
+                    cols.append(linalg.reduce(trows, tpiv, col))
                 stacked.extend(
                     [cols[cidx][r] for cidx in range(n)] for r in range(m))
             null = linalg.kernel(stacked, n)
@@ -296,7 +286,7 @@ class WeightModule:
         cols = []
         for c in free_src:
             col = [pivot_mat[r][c] for r in range(m)]
-            col = _reduce_mod(trows, tpiv, col)
+            col = linalg.reduce(trows, tpiv, col)
             cols.append([col[r] for r in tfree])
         return [[cols[ci][r] for ci in range(len(free_src))]
                 for r in range(len(tfree))]
@@ -325,7 +315,7 @@ class WeightModule:
                                 if comp:
                                     acc = acc + f * comp
                         img.append(acc)
-                    if any(_reduce_mod(trows, tpiv, img)):
+                    if any(linalg.reduce(trows, tpiv, img)):
                         raise ArithmeticError(
                             "lowering action escapes the raising kernel at "
                             f"weight {nu} (generator "
@@ -464,7 +454,7 @@ def _commutator_entries(module, exponent_fn, twisted, entries):
         for j in range(rank):
             base = (-PS_PI) if twisted else PS_PI
             pifac[(i, j)] = base ** (datum.p(i) * datum.p(j))
-    for sign in _SIGNS:
+    for sign in SIGNS:
         for nu in module.weights:
             n0 = module.dimension(nu, sign)
             interior = height(nu) + 1 <= module.hmax
@@ -518,7 +508,7 @@ def _serre_entries(module, exponent_fn, twisted, entries):
             b = 1 - datum.a(i, j)
             coeffs = [_serre_coeff(datum, i, j, k, twisted)
                       for k in range(b + 1)]
-            for sign in _SIGNS:
+            for sign in SIGNS:
                 for nu in module.weights:
                     n0 = module.dimension(nu, sign)
                     for kind, relname in (("E", "serre-e"), ("F", "serre-f")):
@@ -565,7 +555,7 @@ def _grouplike_entries(module, entries):
             ok = (PiScalar.pi_power(m) * PiScalar.pi_power(m) == PS_ONE)
             entries.append({"relation": "jk", "i": str(a), "block": list(nu),
                             "status": "pass" if ok else "fail"})
-    for sign in _SIGNS:
+    for sign in SIGNS:
         for nu in module.weights:
             if height(nu) + 1 > module.hmax:
                 continue
@@ -595,7 +585,7 @@ def _grouplike_entries(module, entries):
 def verify_module_relations(module):
     """Check the defining relations as matrix identities on the module."""
     entries = []
-    for sign in _SIGNS:
+    for sign in SIGNS:
         d = module.dimension(weight_zero(module.datum.rank), sign)
         entries.append({"relation": "highest-space", "pi": _sgn_label(sign),
                         "status": "pass" if d == 1 else "fail"})
@@ -828,7 +818,7 @@ def verify_hat_twistor(module, mutate=False):
         entries.append({"relation": "jk-image", "block": list(nu),
                         "status": status})
 
-    for sign in _SIGNS:
+    for sign in SIGNS:
         for nu in module.weights:
             if height(nu) + 1 > module.hmax:
                 continue
@@ -909,7 +899,7 @@ def verify_chi_diagram(module, x):
     nu = x.homogeneous_weight(rank)
     psi_x = ctx.free.twistor(x)
     dressed = _chi_lower_exponent(module)
-    for sign in _SIGNS:
+    for sign in SIGNS:
         for delta in module.weights:
             if height(delta) + height(nu) > module.hmax:
                 continue

@@ -65,6 +65,67 @@ def test_validate_missing_field(capsys, tmp_path):
     assert "parity" in payload["error"]
 
 
+def _osp14_explicit():
+    """osp14 with its simply connected root datum and a transversal of
+    X/Z[I] (order 2) written out."""
+    data = json.loads(json.dumps(CATALOG["osp14"]))
+    data["X"] = {"rank": 2, "pairing": [[1, 0], [0, 1]],
+                 "emb": [[2, -1], [-2, 2]]}
+    data["Y"] = {"rank": 2, "emb": [[1, 0], [0, 1]]}
+    data["transversal"] = [[0, 0], [1, 0]]
+    return data
+
+
+COMMANDS = [["validate"], ["canonical", "--height", "2"]]
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=["validate", "canonical"])
+def test_explicit_root_datum_accepted(capsys, tmp_path, args):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(_osp14_explicit()))
+    code, payload = run_cli(capsys, [args[0], "--datum", str(path)] + args[1:])
+    assert code == 0
+    assert payload["datum"]["transversal"]["representatives"] == [[0, 0],
+                                                                   [1, 0]]
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=["validate", "canonical"])
+@pytest.mark.parametrize("where, value", [
+    (("dot", 0, 1), -2.0),
+    (("dot", 1, 1), 4.5),
+    (("parity", 0), True),
+    (("parity", 1), "0"),
+    (("X", "emb", 0, 0), 2.0),
+    (("X", "pairing", 1, 1), True),
+    (("Y", "rank"), "2"),
+    (("transversal", 1, 0), 1.0),
+], ids=["dot-float", "dot-fraction", "parity-bool", "parity-str",
+        "emb-float", "pairing-bool", "rank-str", "transversal-float"])
+def test_non_integer_datum_entry_exits_2(capsys, tmp_path, args, where, value):
+    data = _osp14_explicit()
+    *keys, last = where
+    holder = data
+    for key in keys:
+        holder = holder[key]
+    holder[last] = value
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    code, payload = run_cli(capsys, [args[0], "--datum", str(path)] + args[1:])
+    assert code == 2
+    assert payload["error"].startswith("datum file is malformed")
+
+
+def test_non_integral_cartan_matrix_exits_2(capsys, tmp_path):
+    # 2(1.2)/(1.1) = -1/2; the default root datum cannot be built
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"indices": ["1", "2"],
+                                "dot": [[2, -1], [-1, 4]], "parity": [1, 0]}))
+    code, payload = run_cli(
+        capsys, ["canonical", "--datum", str(path), "--height", "2"])
+    assert code == 2
+    assert "Cartan integers" in payload["error"]
+
+
 def test_unknown_datum_name(capsys):
     code, payload = run_cli(capsys, ["canonical", "--datum", "nonsense"])
     assert code == 2

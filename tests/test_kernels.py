@@ -1,19 +1,11 @@
-"""Integer Laurent-polynomial kernel: both implementations against sympy."""
+"""Integer Laurent-polynomial kernel against sympy."""
 
 import random
 
 import pytest
 import sympy
 
-from covquant.kernels import _intpoly_py
-
-IMPLS = [pytest.param(_intpoly_py, id="py")]
-try:
-    from covquant.kernels import _intpoly_c
-    IMPLS.append(pytest.param(_intpoly_c, id="c"))
-except ImportError:
-    IMPLS.append(pytest.param(None, id="c",
-                              marks=pytest.mark.skip("no compiled kernel")))
+from covquant import kernels
 
 V = sympy.Symbol("v")
 
@@ -34,9 +26,10 @@ def random_lp(rng, max_terms=4, max_coeff=9, max_off=3):
     return (off, tuple(coeffs))
 
 
-@pytest.fixture(params=IMPLS)
+# One parameter, named after kernels.IMPLEMENTATION, keeps the test ids.
+@pytest.fixture(params=[kernels.IMPLEMENTATION])
 def kern(request):
-    return request.param
+    return kernels
 
 
 def test_trim_normalizes(kern):
@@ -168,23 +161,3 @@ def test_vec_reduce_detects_membership(kern):
         res = kern.vec_reduce(ech, pivots, probe)
         assert any(not kern.lp_is_zero(a) for a in res)
 
-
-def test_implementations_agree():
-    impls = [p.values[0] for p in IMPLS if p.values[0] is not None]
-    if len(impls) < 2:
-        pytest.skip("only one kernel implementation available")
-    a_impl, b_impl = impls[0], impls[1]
-    rng = random.Random(99)
-    for _ in range(40):
-        a = random_lp(rng)
-        b = random_lp(rng)
-        assert a_impl.lp_trim(*a) == b_impl.lp_trim(*a)
-        ta, tb = a_impl.lp_trim(*a), a_impl.lp_trim(*b)
-        assert a_impl.lp_add(ta, tb) == b_impl.lp_add(ta, tb)
-        assert a_impl.lp_mul(ta, tb) == b_impl.lp_mul(ta, tb)
-    for n in (2, 3):
-        m = random_matrix(a_impl, rng, n + 1, n)
-        assert a_impl.echelon([list(r) for r in m], n) == \
-            b_impl.echelon([list(r) for r in m], n)
-        sq = random_matrix(a_impl, rng, n, n)
-        assert a_impl.det_bareiss(sq) == b_impl.det_bareiss(sq)
