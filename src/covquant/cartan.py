@@ -362,6 +362,16 @@ class RootDatum:
         self.pairing = tuple(tuple(_as_int(c) for c in row) for row in pairing)
         self.embX = tuple(tuple(_as_int(c) for c in v) for v in embX)
         self.embY = tuple(tuple(_as_int(c) for c in v) for v in embY)
+        if len(self.pairing) != self.rankY or any(
+                len(row) != self.rankX for row in self.pairing):
+            raise ValueError(f"pairing must be {self.rankY} x {self.rankX}")
+        if len(self.embX) != len(self.embY):
+            raise ValueError("X and Y embeddings list different index counts")
+        for emb, rank, name in ((self.embX, self.rankX, "X"),
+                                (self.embY, self.rankY, "Y")):
+            if any(len(v) != rank for v in emb):
+                raise ValueError(f"{name} embedding rows must have length "
+                                 f"{rank}")
 
     @staticmethod
     def simply_connected(datum):
@@ -448,6 +458,10 @@ class RootDatum:
         }
 
 
+class TransversalError(ValueError):
+    """A weight lies in no class of a user transversal of X/Z[I]."""
+
+
 class TwistForm:
     """The ordering-dependent bilinear form phi on Z[I] and its extension
     phi_dot to X through a fixed transversal of X/Z[I]."""
@@ -475,8 +489,27 @@ class TwistForm:
         self._H, self._U, self._pivots = hnf_columns(M, n)
         self.user_transversal = None
         if user_transversal is not None:
-            self.user_transversal = [tuple(_as_int(c) for c in v)
-                                     for v in user_transversal]
+            self.user_transversal = self._check_transversal(
+                [tuple(_as_int(c) for c in v) for v in user_transversal])
+
+    def _check_transversal(self, reps):
+        """reps, if they are pairwise incongruent X-vectors modulo Z[I]' and,
+        where X/Z[I]' is finite, one per class; ValueError otherwise."""
+        rank = self.root.rankX
+        if any(len(v) != rank for v in reps):
+            raise ValueError(f"transversal vectors must have length {rank}")
+        for a in range(len(reps)):
+            for b in range(a):
+                if self._solve_in_root_lattice(
+                        weight_sub(reps[a], reps[b])) is not None:
+                    raise ValueError(f"transversal vectors {list(reps[b])} "
+                                     f"and {list(reps[a])} are congruent "
+                                     "modulo Z[I]")
+        index = self._quotient_order()
+        if index is not None and len(reps) != index:
+            raise ValueError(f"transversal lists {len(reps)} vectors; "
+                             f"X/Z[I] has {index} classes")
+        return reps
 
     def phi(self, nu, mu):
         """Bilinear extension of the generator table."""
@@ -511,7 +544,7 @@ class TwistForm:
                 mu = self._solve_in_root_lattice(weight_sub(lam, c))
                 if mu is not None:
                     return mu, tuple(c)
-            raise ValueError(
+            raise TransversalError(
                 "no stored transversal representative is congruent to "
                 f"{lam} modulo Z[I]")
         c, q = self.reduce_to_transversal(lam)
@@ -554,19 +587,25 @@ class TwistForm:
             out["representatives"] = [list(v) for v in self.user_transversal]
             return out
         # list representatives explicitly when the quotient is small
-        if len(self._pivots) == self.root.rankX:
-            size = 1
+        size = self._quotient_order()
+        if size is not None and size <= 64:
+            reps = [[0] * self.root.rankX]
             for row, col in self._pivots:
-                size *= self._H[row][col]
-            if size <= 64:
-                reps = [[0] * self.root.rankX]
-                for row, col in self._pivots:
-                    h = self._H[row][col]
-                    reps = [[r[i] + (k if i == row else 0)
-                             for i in range(self.root.rankX)]
-                            for r in reps for k in range(h)]
-                out["representatives"] = sorted(reps)
+                h = self._H[row][col]
+                reps = [[r[i] + (k if i == row else 0)
+                         for i in range(self.root.rankX)]
+                        for r in reps for k in range(h)]
+            out["representatives"] = sorted(reps)
         return out
+
+    def _quotient_order(self):
+        """|X/Z[I]'|, or None when the quotient is infinite."""
+        if len(self._pivots) != self.root.rankX:
+            return None
+        size = 1
+        for row, col in self._pivots:
+            size *= self._H[row][col]
+        return size
 
 
 # --- datum file handling -----------------------------------------------------
@@ -585,6 +624,9 @@ def datum_from_dict(data):
             pairing = [[1 if i == j else 0 for j in range(rank_x)]
                        for i in range(rank_y)]
         root = RootDatum(rank_y, rank_x, pairing, x["emb"], y["emb"])
+        if len(root.embX) != datum.rank:
+            raise ValueError(f"X and Y embeddings need one row per index "
+                             f"({datum.rank})")
     else:
         root = RootDatum.simply_connected(datum)
     tf = TwistForm(datum, root, data.get("transversal"))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import umod
-from .cartan import SuperCartanDatum, datum_from_dict, datum_hash, \
-    height, normalized_datum_dict
+from .cartan import SuperCartanDatum, TransversalError, datum_from_dict, \
+    datum_hash, height, normalized_datum_dict
 from .catalog import CATALOG
 from .crystal import Crystal
 from .freealg import render_word
@@ -350,6 +350,9 @@ def main(argv=None):
         payload, code = handler[args.command](cfg)
     except (InputError, GramCacheError) as e:
         _emit({"error": str(e)}, cfg.out)
+        return 2
+    except TransversalError as e:
+        _emit({"error": f"datum file is malformed: {e}"}, cfg.out)
         return 2
     except ArithmeticError as e:
         _emit({"error": f"computation failed: {e}"}, cfg.out)

@@ -301,11 +301,12 @@ class QuotientContext:
         """The echelonized Serre span is the whole radical iff every row is
         in the kernel and the complementary Gram minor is nonsingular."""
         for row in ech:
-            for i in range(ncols):
+            support = [(j, c) for j, c in enumerate(row)
+                       if not kernels.lp_is_zero(c)]
+            for grow in gram_rows:
                 acc = kernels.LP_ZERO
-                for j in range(ncols):
-                    acc = kernels.lp_add(
-                        acc, kernels.lp_mul(gram_rows[i][j], row[j]))
+                for j, c in support:
+                    acc = kernels.lp_add(acc, kernels.lp_mul(grow[j], c))
                 if not kernels.lp_is_zero(acc):
                     return False
         keep = [c for c in range(ncols) if c not in set(piv)]

@@ -6,37 +6,59 @@ the rational function field Q(t)(v).  Specializing pi to +1 or -1 is then a
 projection, and each component is a field, so linear algebra works
 componentwise.
 
-No floating point is used anywhere; rationals are fractions.Fraction.
+No floating point is used anywhere.  A rational component is a Python int
+when it is integral and a fractions.Fraction only when it is not, so the
+Gaussian integers that make up almost every coefficient never touch Fraction.
 """
 
 from fractions import Fraction
 from math import inf
 
 
+def _exact(q):
+    """An int, Fraction or other exact rational in normal form: int when
+    integral, Fraction otherwise."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _div(a, b):
+    """Exact quotient of two components: int when b divides a, Fraction
+    otherwise (int / int never yields a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(a / b)
+
+
 class GaussianRational:
-    """re + im*t with t a square root of -1; components are Fractions."""
+    """re + im*t with t a square root of -1; each component is an int when
+    integral and a Fraction otherwise."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re if type(re) is int else _exact(re)
+        self.im = im if type(im) is int else _exact(im)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not GaussianRational:
             other = GaussianRational(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
@@ -44,33 +66,33 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not GaussianRational:
             other = GaussianRational(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
+        if type(other) is not GaussianRational:
+            other = GaussianRational(other)
+        a, b = self.re, self.im
+        c, d = other.re, other.im
+        if not b and not d:
+            return GaussianRational(a * c)
         # (a + bt)(c + dt) = ac - bd + (ad + bc)t
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re / other, self.im / other)
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational(other)
+        c, d = other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return GaussianRational(_div(self.re, c), _div(self.im, c))
+        a, b = self.re, self.im
+        n = c * c + d * d
+        return GaussianRational(_div(a * c + b * d, n), _div(b * c - a * d, n))
 
     def __pow__(self, k):
         out = G_ONE
@@ -105,7 +127,7 @@ class LaurentPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
-                if not isinstance(c, GaussianRational):
+                if type(c) is not GaussianRational:
                     c = GaussianRational(c)
                 if c:
                     d[e] = c
@@ -123,7 +145,7 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
+        return type(other) is LaurentPoly and self.coeffs == other.coeffs
 
     def __add__(self, other):
         d = dict(self.coeffs)
@@ -236,6 +258,8 @@ def _poly_divmod(a, b):
 
 def _poly_gcd(a, b):
     """Monic gcd of genuine polynomials over Q(t)."""
+    if (a and max(a.coeffs) == 0) or (b and max(b.coeffs) == 0):
+        return LP_ONE  # a nonzero constant is a unit
     while b:
         _, r = _poly_divmod(a, b)
         a, b = b, r
@@ -255,10 +279,9 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction, GaussianRational)):
+        if type(num) is not LaurentPoly:
             num = LaurentPoly.const(
-                num if isinstance(num, GaussianRational) else GaussianRational(num)
-            )
+                num if type(num) is GaussianRational else GaussianRational(num))
         if den is None:
             den = LP_ONE
         if not den:
@@ -292,14 +315,14 @@ class RationalFn:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if type(other) is not RationalFn:
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return NotImplemented
             other = RationalFn(other)
-        if not isinstance(other, RationalFn):
-            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if type(other) is not RationalFn:
             other = RationalFn(other)
         if self.den is other.den:
             return RationalFn(self.num + other.num, self.den)
@@ -313,19 +336,19 @@ class RationalFn:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if type(other) is not RationalFn:
             other = RationalFn(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if type(other) is not RationalFn:
             other = RationalFn(other)
         if self.den is LP_ONE and other.den is LP_ONE:
             return RationalFn(self.num * other.num)
         return RationalFn(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if type(other) is not RationalFn:
             other = RationalFn(other)
         if not other.num:
             raise ZeroDivisionError("division by zero RationalFn")
@@ -376,9 +399,9 @@ def ratfn_to_lp(r):
         return (0, ())
     coeffs = {}
     for e, c in r.num.coeffs.items():
-        if c.im != 0 or c.re.denominator != 1:
+        if c.im or type(c.re) is not int:
             raise ValueError("scalar is not an integer Laurent polynomial")
-        coeffs[e] = int(c.re)
+        coeffs[e] = c.re
     lo = min(coeffs)
     return (lo, tuple(coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)))
 

@@ -8,6 +8,7 @@ import sympy
 from covquant.cartan import (
     RootDatum,
     SuperCartanDatum,
+    TransversalError,
     TwistForm,
     datum_from_dict,
     datum_hash,
@@ -241,9 +242,16 @@ def test_user_transversal():
         assert tuple(back) == lam
     # inconsistent transversal: two reps in the same coset, none in the other
     data["transversal"] = [[0, 0], [2, 0]]
-    _, _, tf_bad = datum_from_dict(data)
     with pytest.raises(ValueError):
-        tf_bad.decompose((1, 0))
+        datum_from_dict(data)
+    # X/Z[I] is infinite for the affine datum: a short list passes the
+    # construction checks, and decompose fails on a weight it misses
+    data = dict(CATALOG["affine_b01"])
+    data["transversal"] = [[0, 0, 0]]
+    _, _, tf_short = datum_from_dict(data)
+    assert tf_short.decompose((2, -4, 1)) == ((1, 0), (0, 0, 0))
+    with pytest.raises(TransversalError):
+        tf_short.decompose((1, 0, 0))
 
 
 def test_transversal_serialization_deterministic(osp14):

@@ -1,5 +1,6 @@
 """End-to-end tests for the covquant command line."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -76,6 +77,20 @@ def _osp14_explicit():
     return data
 
 
+def _run_edited_osp14(capsys, tmp_path, args, where, value):
+    """Run args on _osp14_explicit() with the entry at path where set to
+    value."""
+    data = _osp14_explicit()
+    *keys, last = where
+    holder = data
+    for key in keys:
+        holder = holder[key]
+    holder[last] = value
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    return run_cli(capsys, [args[0], "--datum", str(path)] + args[1:])
+
+
 COMMANDS = [["validate"], ["canonical", "--height", "2"]]
 
 
@@ -102,15 +117,46 @@ def test_explicit_root_datum_accepted(capsys, tmp_path, args):
 ], ids=["dot-float", "dot-fraction", "parity-bool", "parity-str",
         "emb-float", "pairing-bool", "rank-str", "transversal-float"])
 def test_non_integer_datum_entry_exits_2(capsys, tmp_path, args, where, value):
-    data = _osp14_explicit()
-    *keys, last = where
-    holder = data
-    for key in keys:
-        holder = holder[key]
-    holder[last] = value
+    code, payload = _run_edited_osp14(capsys, tmp_path, args, where, value)
+    assert code == 2
+    assert payload["error"].startswith("datum file is malformed")
+
+
+ALL_COMMANDS = COMMANDS + [["character", "--lambda", "1,0", "--height", "2"],
+                           ["verify", "--lambda", "1,0", "--height", "2"]]
+
+
+@pytest.mark.parametrize("args", ALL_COMMANDS,
+                         ids=["validate", "canonical", "character", "verify"])
+@pytest.mark.parametrize("where, value", [
+    (("X", "emb", 0), [2]),
+    (("Y", "emb", 1), [0, 1, 0]),
+    (("X", "emb"), [[2, -1]]),
+    (("X", "pairing"), [[1, 0]]),
+    (("transversal",), [[0]]),
+    (("transversal",), [[0, 0]]),
+    (("transversal",), [[0, 0], [2, -1]]),
+], ids=["emb-row-short", "emb-row-long", "emb-row-missing", "pairing-shape",
+        "transversal-short", "transversal-misses-class",
+        "transversal-congruent"])
+def test_bad_root_datum_shape_exits_2(capsys, tmp_path, args, where, value):
+    code, payload = _run_edited_osp14(capsys, tmp_path, args, where, value)
+    assert code == 2
+    assert payload["error"].startswith("datum file is malformed")
+
+
+def test_weight_outside_user_transversal_exits_2(capsys, tmp_path):
+    # X/Z[I]' is infinite for the affine datum, so a one-vector transversal
+    # passes the file checks but misses the class of lambda = (1, 0, 0),
+    # which the verify suites need phi_dot on
+    data = json.loads(json.dumps(CATALOG["affine_b01"]))
+    data["X"] = {"rank": 3, "emb": [[2, -4, 1], [-1, 2, 0]]}
+    data["Y"] = {"rank": 3, "emb": [[1, 0, 0], [0, 1, 0]]}
+    data["transversal"] = [[0, 0, 0]]
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(data))
-    code, payload = run_cli(capsys, [args[0], "--datum", str(path)] + args[1:])
+    code, payload = run_cli(capsys, ["verify", "--datum", str(path),
+                                     "--lambda", "1,0,0", "--height", "2"])
     assert code == 2
     assert payload["error"].startswith("datum file is malformed")
 
@@ -327,3 +373,34 @@ def test_console_script_bytes_stable():
     table = json.loads(first.stdout)["table"]
     assert {"label": "121", "weight": [2, 1],
             "element": "θ[1]θ[2]θ[1]", "ell_mod4": 3} in table
+
+
+# --- golden bytes ---------------------------------------------------------
+
+# (exit code, sha256 of the output) for the six benchmark invocations,
+# recorded before the scalar tower stored integral components as int.
+# Any change to the arithmetic must leave these bytes alone.
+GOLDEN = [
+    (["canonical", "--datum", "osp14", "--height", "4"], 0,
+     "b5f3af078882e4cc9609fdad505c4a26dd43a92f7fc439990d1f83ccd1795aa5"),
+    (["canonical", "--datum", "osp16", "--height", "3"], 0,
+     "3c8a4bfa80510470855d25737ba0fc148f2294b1c796d0e9c3b7fdc7dc02bc7b"),
+    (["character", "--datum", "osp14", "--lambda", "2,0", "--height", "6"], 0,
+     "5e9c707c72aa8664c0f6b1e6d459e3980f869b95ed1dccfc9e7deffb362d86e3"),
+    (["verify", "--datum", "osp14", "--suite", "all", "--height", "4"], 0,
+     "1d1b60daaf67f711290c7e4ab55e936153c036f1e5f2790b5e03c0fb1d058825"),
+    (["verify", "--datum", "osp16", "--suite", "all", "--height", "3"], 0,
+     "c00994a0d8a4366f6d245423395cccbd223c6ee84b9b69da5f58242113f0aef5"),
+    (["verify", "--datum", "osp14", "--suite", "all", "--height", "3",
+      "--mutate"], 1,
+     "a5b62316415dc98673c0cfcceb2d8aafb6985c7d79ffbaf243785d887fa79c76"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN,
+                         ids=["-".join(a for a in g[0] if not a.startswith("--"))
+                              for g in GOLDEN])
+def test_golden_output_digest(tmp_path, argv, code, digest):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

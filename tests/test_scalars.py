@@ -16,6 +16,8 @@ from covquant.scalars import (
     PS_PI,
     PS_T,
     PS_ZERO,
+    _poly_divmod,
+    _poly_gcd,
     parse_scalar,
     qbinomial,
     qfactorial,
@@ -271,3 +273,67 @@ def test_specialize():
     minus = q.specialize(-1)
     assert sympy.simplify(oracles.ratfn_to_sympy(plus) - (V + 1 / V)) == 0
     assert sympy.simplify(oracles.ratfn_to_sympy(minus) - (1 / V - V)) == 0
+
+
+# --- integer-first normal form ------------------------------------------------
+
+
+def _normal_component(q):
+    """int exactly when integral, Fraction otherwise, never a float."""
+    if type(q) is int:
+        return True
+    return type(q) is Fraction and q.denominator != 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals, rationals, rationals)
+def test_components_int_exactly_when_integral(a, b, c, d):
+    x = GaussianRational(a, b)
+    y = GaussianRational(c, d)
+    results = [x, y, x + y, x - y, x * y, -x]
+    if y:
+        results.append(x / y)
+    if x:
+        results.append(x ** -1)
+    for g in results:
+        assert _normal_component(g.re) and _normal_component(g.im), g
+
+
+def test_int_division_is_an_exact_fraction():
+    q = GaussianRational(1) / 3
+    assert q.re == Fraction(1, 3) and type(q.re) is Fraction
+    assert q.im == 0 and type(q.im) is int
+    assert type((GaussianRational(6, 4) / 2).im) is int
+
+
+def test_integral_fraction_becomes_int():
+    g = GaussianRational(Fraction(4, 2))
+    assert g == GaussianRational(2)
+    assert hash(g) == hash(GaussianRational(2))
+    assert type(g.re) is int and type(g.im) is int
+
+
+def _euclid_gcd(a, b):
+    """_poly_gcd without its constant shortcut."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    if a:
+        a = a.scale(GaussianRational(1) / a.coeffs[a.degree()])
+    return a
+
+
+def test_poly_gcd_constant_shortcut_matches_euclid():
+    consts = [GaussianRational(1), GaussianRational(-3),
+              GaussianRational(0, 2), GaussianRational(Fraction(2, 3), -1)]
+    polys = [LaurentPoly(),
+             LaurentPoly({0: GaussianRational(5)}),
+             LaurentPoly({0: GaussianRational(1), 1: GaussianRational(1)}),
+             LaurentPoly({0: GaussianRational(2), 2: GaussianRational(0, 1)}),
+             LaurentPoly({0: GaussianRational(1), 4: GaussianRational(-1),
+                          6: GaussianRational(Fraction(1, 2), 3)})]
+    for c in consts:
+        const = LaurentPoly({0: c})
+        for p in polys:
+            assert _poly_gcd(const, p) == _euclid_gcd(const, p)
+            assert _poly_gcd(p, const) == _euclid_gcd(p, const)
+            assert _poly_gcd(const, p) == LaurentPoly({0: GaussianRational(1)})
