@@ -13,12 +13,8 @@ from .scalars import (  # noqa: F401
     LaurentPoly,
     PiScalar,
     RationalFn,
-    bar,
-    in_lattice,
     qbinomial,
     qfactorial,
     qinteger,
     qinteger_signed,
-    twist,
-    valuation,
 )

@@ -11,6 +11,8 @@ import hashlib
 import json
 from fractions import Fraction
 
+from .kernels import det_bareiss, lp_const
+
 
 def _as_int(c):
     """A datum entry: a JSON integer, never a bool, float or string."""
@@ -25,7 +27,13 @@ class SuperCartanDatum:
     __slots__ = ("indices", "dot", "parity")
 
     def __init__(self, indices, dot, parity):
+        if not isinstance(indices, (list, tuple)):
+            raise TypeError(f"indices must be a list of names, got "
+                            f"{indices!r}")
         self.indices = tuple(str(i) for i in indices)
+        if len(set(self.indices)) != len(self.indices):
+            raise ValueError(f"index names must be distinct, got "
+                             f"{list(self.indices)}")
         self.dot = tuple(tuple(_as_int(c) for c in row) for row in dot)
         self.parity = tuple(_as_int(p) for p in parity)
         n = len(self.indices)
@@ -249,31 +257,10 @@ def _as_sequence(x):
 # --- integer linear algebra for the transversal -----------------------------
 
 def _int_det(mat):
-    """Determinant of a square integer matrix (exact, Fraction-free result)."""
-    n = len(mat)
-    m = [[Fraction(c) for c in row] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    if det.denominator != 1:
-        raise ArithmeticError("integer determinant came out fractional")
-    return int(det)
+    """Determinant of a square integer matrix: Bareiss elimination on
+    constant Laurent polynomials."""
+    _, coeffs = det_bareiss([[lp_const(c) for c in row] for row in mat])
+    return coeffs[0] if coeffs else 0
 
 
 def hnf_columns(mat, ncols):
@@ -616,6 +603,8 @@ def datum_from_dict(data):
     if "X" in data or "Y" in data:
         x = data.get("X", {})
         y = data.get("Y", {})
+        if not (isinstance(x, dict) and isinstance(y, dict)):
+            raise TypeError("X and Y must be JSON objects")
         rank_x = x.get("rank")
         rank_y = y.get("rank", rank_x)
         rank_x = rank_x if rank_x is not None else rank_y

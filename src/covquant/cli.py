@@ -11,7 +11,6 @@ datum-condition) failure, 2 malformed input.
 import argparse
 import json
 import os
-from dataclasses import dataclass
 from itertools import product
 
 from . import umod
@@ -31,20 +30,6 @@ SUITES = ("half-twistor", "rho-psi", "lattice", "modified-twistor",
 
 class InputError(Exception):
     """Bad invocation or unusable datum file (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation."""
-    datum: str
-    height: int = 3
-    lam: tuple = None
-    out: str = None
-    cache: str = None
-    suite: str = "all"
-    pi: str = "both"
-    mutate: bool = False
-    force_height: bool = False
 
 
 def _read_datum_dict(name_or_path):
@@ -296,14 +281,17 @@ def _build_parser():
                     "quantum (super)groups.")
     sub = p.add_subparsers(dest="command", required=True)
     specs = {
-        "validate": "check a Cartan datum file against the defining "
-                    "conditions",
-        "canonical": "canonical-basis table up to a height bound",
-        "character": "character of a truncated highest-weight module",
-        "verify": "run verification suites",
+        "validate": (cmd_validate, "check a Cartan datum file against the "
+                                   "defining conditions"),
+        "canonical": (cmd_canonical, "canonical-basis table up to a height "
+                                     "bound"),
+        "character": (cmd_character, "character of a truncated "
+                                     "highest-weight module"),
+        "verify": (cmd_verify, "run verification suites"),
     }
-    for name, blurb in specs.items():
+    for name, (handler, blurb) in specs.items():
         sp = sub.add_parser(name, help=blurb)
+        sp.set_defaults(handler=handler, lam=None)
         sp.add_argument("--datum", required=True,
                         help="datum JSON file (or a built-in name: "
                              + ", ".join(sorted(CATALOG)) + ")")
@@ -331,23 +319,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        datum=args.datum,
-        height=getattr(args, "height", 0),
-        out=args.out,
-        cache=args.cache,
-        suite=getattr(args, "suite", "all"),
-        pi=getattr(args, "pi", "both"),
-        mutate=getattr(args, "mutate", False),
-        force_height=getattr(args, "force_height", False),
-    )
+    cfg = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "lam", None) is not None:
-            cfg.lam = _parse_lambda(args.lam)
-        handler = {"validate": cmd_validate, "canonical": cmd_canonical,
-                   "character": cmd_character, "verify": cmd_verify}
-        payload, code = handler[args.command](cfg)
+        if cfg.lam is not None:
+            cfg.lam = _parse_lambda(cfg.lam)
+        payload, code = cfg.handler(cfg)
     except (InputError, GramCacheError) as e:
         _emit({"error": str(e)}, cfg.out)
         return 2

@@ -368,9 +368,6 @@ class Crystal:
     def of_weight(self, nu):
         return list(self.by_weight.get(tuple(nu), []))
 
-    def lattice_rank(self, nu):
-        return len(self._lattice[tuple(nu)][1])
-
     def lattice_coords(self, x, nu):
         """Coordinates of x over the weight's L-basis, or None if x is
         outside the lattice; returns a per-sign pair of lists."""

@@ -36,7 +36,6 @@ from .scalars import (
 
 _SIGN_KEYS = {1: "plus", -1: "minus"}
 _CACHE_FORMAT = 2
-_LP_ONE = kernels.lp_const(1)
 _LEFT_MASS = "reduction left mass outside the pivot words"
 
 
@@ -65,6 +64,16 @@ def _lp_from_json(cell):
     if not coeffs and off != 0:
         return None
     return (off, tuple(coeffs))
+
+
+def serre_coefficient(datum, i, j, k):
+    """(-1)^k pi^{C(k,2)p(i)+k p(i)p(j)} [b,k]_{v_i} with b = 1 - a_ij: the
+    coefficient of theta_i^{b-k} theta_j theta_i^k in the Serre element.
+    Its twist() is the coefficient of the twisted Serre relation."""
+    b = 1 - datum.a(i, j)
+    pi_exp = comb(k, 2) * datum.p(i) + k * datum.p(i) * datum.p(j)
+    coeff = qbinomial(b, k, datum.d(i)) * PiScalar.pi_power(pi_exp)
+    return -coeff if k % 2 else coeff
 
 
 class QuotientContext:
@@ -118,10 +127,6 @@ class QuotientContext:
             self._store_gram(nu, got)
         self._gram[nu] = got
         return got
-
-    def gram_component(self, nu, sign):
-        """Gram matrix of one component as integer Laurent rows."""
-        return self.gram(nu)[sign]
 
     def _cache_path(self, nu):
         from .cartan import datum_hash
@@ -229,7 +234,7 @@ class QuotientContext:
         if got is None:
             s = self.serre_element(i, j)
             got = (s.homogeneous_weight(self.datum.rank),
-                   {sign: [(w, ratfn_to_lp(c.plus if sign > 0 else c.minus))
+                   {sign: [(w, ratfn_to_lp(c.specialize(sign)))
                            for w, c in sorted(s.terms.items())]
                     for sign in SIGNS})
             self._serre[(i, j)] = got
@@ -276,12 +281,13 @@ class QuotientContext:
         words = self.words(nu)
         ncols = len(words)
         serre_rows = self._serre_span_rows(nu)
+        gram = self.gram(nu)
         result = {}
         route = "serre"
         for sign in SIGNS:
             rows = [r[sign] for r in serre_rows]
             ech, piv = kernels.echelon(rows, ncols)
-            gm = self.gram_component(nu, sign)
+            gm = gram[sign]
             if self._certify(gm, ech, piv, ncols):
                 result[sign] = (ech, piv)
             else:
@@ -319,7 +325,7 @@ class QuotientContext:
         aug = []
         for i in range(ncols):
             row = list(gram_rows[i]) + [
-                kernels.lp_const(1) if j == i else kernels.LP_ZERO
+                kernels.LP_ONE if j == i else kernels.LP_ZERO
                 for j in range(ncols)]
             aug.append(row)
         ech, piv = kernels.echelon(aug, 2 * ncols)
@@ -334,19 +340,8 @@ class QuotientContext:
         zero = RationalFn(LaurentPoly())
         vec = [zero] * len(words)
         for w, c in part.terms.items():
-            vec[index[w]] = c.plus if sign > 0 else c.minus
+            vec[index[w]] = c.specialize(sign)
         return vec
-
-    def reduce(self, x):
-        """Coordinates of x's class on the pivot words, as PiScalar.
-
-        x must be homogeneous; returns (pivot_words, coords).
-        """
-        nu = x.homogeneous_weight(self.datum.rank) if x.terms else None
-        if nu is None:
-            raise ValueError("cannot infer the weight of the zero element; "
-                             "use reduce_at")
-        return self.reduce_at(x, nu)
 
     def reduce_at(self, x, nu):
         rad = self.radical(nu)
@@ -390,9 +385,9 @@ class QuotientContext:
         return got
 
     def _coord_table(self, nu, sign):
-        """Fraction-free reduction of every word against the echelon rows:
-        the cross-multiplication of kernels.vec_reduce, with the product
-        of the leads used divided out exactly at the end."""
+        """Fraction-free reduction of every word against the echelon rows
+        by kernels.vec_reduce, with the product of the leads used divided
+        out exactly at the end."""
         rows, piv = self.radical(nu)[sign]
         words = self.words(nu)
         lead_row = {col: k for k, col in enumerate(piv)}
@@ -402,21 +397,13 @@ class QuotientContext:
         for t, w in enumerate(words):
             k = lead_row.get(t)
             if k is None:
-                table[w] = tuple(_LP_ONE if c == t else kernels.LP_ZERO
+                table[w] = tuple(kernels.LP_ONE if c == t else kernels.LP_ZERO
                                  for c in keep)
                 continue
             # rows above k lead in columns left of t, where vec is zero
             vec = [kernels.LP_ZERO] * len(words)
-            vec[t] = _LP_ONE
-            scale = _LP_ONE
-            for row, col in zip(rows[k:], piv[k:]):
-                f = vec[col]
-                if f[1]:
-                    lead = row[col]
-                    vec = [kernels.lp_sub(kernels.lp_mul(lead, a),
-                                          kernels.lp_mul(f, b))
-                           for a, b in zip(vec, row)]
-                    scale = kernels.lp_mul(scale, lead)
+            vec[t] = kernels.LP_ONE
+            vec, scale = kernels.vec_reduce(rows[k:], piv[k:], vec)
             if any(vec[col][1] for col in piv):
                 raise ArithmeticError(_LEFT_MASS)
             try:
@@ -424,7 +411,7 @@ class QuotientContext:
                                  for c in keep)
             except ValueError:
                 pending[w] = (vec, scale)
-        den = _LP_ONE
+        den = kernels.LP_ONE
         if pending:
             # each scale is a product of leads of distinct rows, so it
             # divides the product of all leads
@@ -465,21 +452,16 @@ class QuotientContext:
     # --- Serre elements and verifications -------------------------------------------
 
     def serre_element(self, i, j):
-        """Sum_k (-1)^k pi^{C(k,2)p(i)+k p(i)p(j)} [b,k]_{v_i}
-        theta_i^{b-k} theta_j theta_i^k with b = 1 - a_ij."""
+        """Sum_k serre_coefficient(i, j, k) theta_i^{b-k} theta_j theta_i^k
+        with b = 1 - a_ij."""
         if i == j:
             raise ValueError("Serre elements need two distinct indices")
-        datum = self.datum
-        b = 1 - datum.a(i, j)
-        di = datum.d(i)
+        b = 1 - self.datum.a(i, j)
         out = FreeElement()
         for k in range(b + 1):
             word = (i,) * (b - k) + (j,) + (i,) * k
-            pi_exp = comb(k, 2) * datum.p(i) + k * datum.p(i) * datum.p(j)
-            coeff = qbinomial(b, k, di) * PiScalar.pi_power(pi_exp)
-            if k % 2:
-                coeff = -coeff
-            out = out + FreeElement({word: coeff})
+            out = out + FreeElement(
+                {word: serre_coefficient(self.datum, i, j, k)})
         return out
 
     def serre_element_twisted(self, i, j, mutate=False):
@@ -488,10 +470,8 @@ class QuotientContext:
         t-exponent is deliberately off by one (negative control)."""
         if i == j:
             raise ValueError("Serre elements need two distinct indices")
-        datum = self.datum
         F = self.free
-        b = 1 - datum.a(i, j)
-        di = datum.d(i)
+        b = 1 - self.datum.a(i, j)
         out = FreeElement()
         for k in range(b + 1):
             left = F.one()
@@ -501,11 +481,7 @@ class QuotientContext:
             term = mid
             for _ in range(k):
                 term = F.star_mul(term, F.theta(i))
-            pi_exp = comb(k, 2) * datum.p(i) + k * datum.p(i) * datum.p(j)
-            coeff = qbinomial(b, k, di).twist() * \
-                (-PiScalar.pi_power(1)) ** pi_exp
-            if k % 2:
-                coeff = -coeff
+            coeff = serre_coefficient(self.datum, i, j, k).twist()
             if mutate and k == min(1, b):
                 coeff = coeff * PiScalar.t_power(1)
             out = out + term.scale(coeff)

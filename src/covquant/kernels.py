@@ -12,6 +12,7 @@ from math import gcd
 IMPLEMENTATION = "py"
 
 LP_ZERO = (0, ())
+LP_ONE = (0, (1,))
 
 
 def lp_trim(offset, coeffs):
@@ -33,27 +34,8 @@ def lp_const(c):
     return (0, (c,))
 
 
-def lp_monomial(c, e):
-    if c == 0:
-        return LP_ZERO
-    return (e, (c,))
-
-
 def lp_is_zero(a):
     return not a[1]
-
-
-def lp_valuation(a):
-    """Lowest exponent; None for the zero polynomial."""
-    if not a[1]:
-        return None
-    return a[0]
-
-
-def lp_degree(a):
-    if not a[1]:
-        return None
-    return a[0] + len(a[1]) - 1
 
 
 def lp_add(a, b):
@@ -100,13 +82,6 @@ def lp_shift(a, k):
     if not a[1]:
         return LP_ZERO
     return (a[0] + k, a[1])
-
-
-def lp_monomial_mul(a, c, e):
-    """a * c*v^e for int c."""
-    if c == 0 or not a[1]:
-        return LP_ZERO
-    return (a[0] + e, tuple(c * x for x in a[1]))
 
 
 def lp_divexact(a, b):
@@ -208,27 +183,30 @@ def echelon(rows, ncols):
 def vec_reduce(rows, pivot_cols, vec):
     """Reduce an LP vector against echelon rows by cross-multiplication.
 
-    The result is the residue scaled by a nonzero constant; it is zero iff
-    vec lies in the row span over the fraction field.
+    Returns (residue, scale): scale is the product of the leads of the
+    rows used (LP_ONE if none was), and scale*vec - residue lies in the row
+    span.  The residue is zero iff vec lies in the row span over the
+    fraction field.
     """
-    vec = list(vec)
+    scale = LP_ONE
     for r, col in zip(rows, pivot_cols):
-        if vec[col][1]:
-            f = vec[col]
+        f = vec[col]
+        if f[1]:
             lead = r[col]
-            vec = [lp_sub(lp_mul(lead, vec[j]), lp_mul(f, r[j]))
-                   for j in range(len(vec))]
-    return vec
+            vec = [lp_sub(lp_mul(lead, a), lp_mul(f, b))
+                   for a, b in zip(vec, r)]
+            scale = lp_mul(scale, lead)
+    return list(vec), scale
 
 
 def det_bareiss(m):
     """Exact determinant of a square LP matrix (Bareiss elimination)."""
     n = len(m)
     if n == 0:
-        return lp_const(1)
+        return LP_ONE
     m = [list(r) for r in m]
     sign = 1
-    prev = lp_const(1)
+    prev = LP_ONE
     for k in range(n - 1):
         if not m[k][k][1]:
             swap = None

@@ -425,11 +425,6 @@ class PiScalar:
         return PiScalar(r, r)
 
     @staticmethod
-    def from_rational(q):
-        r = RationalFn(q)
-        return PiScalar(r, r)
-
-    @staticmethod
     def v_power(k):
         r = RationalFn(LaurentPoly.monomial(G_ONE, k))
         return PiScalar(r, r)
@@ -594,22 +589,6 @@ def qbinomial(n, k, d=1):
             f"qbinomial({n},{k},{d}) failed to reduce to a Laurent polynomial"
         )
     return out
-
-
-def bar(s):
-    return s.bar()
-
-
-def twist(s):
-    return s.twist()
-
-
-def valuation(s):
-    return s.valuation()
-
-
-def in_lattice(s):
-    return s.in_lattice()
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,14 @@ from math import comb
 
 from . import kernels, linalg
 from .cartan import height, unit_weight, weight_add, weight_sub, weight_zero
+from .halfqg import serre_coefficient
 from .linalg import RF_ZERO
 from .scalars import PS_ONE, PS_PI, PiScalar, SIGNS, lp_to_ratfn, \
-    qbinomial, qfactorial, qinteger_signed, ratfn_to_lp
+    qfactorial, qinteger_signed, ratfn_to_lp
 
 
 class TruncationBoundary(Exception):
     """A composite operator stepped outside the truncation window."""
-
-
-def _sp(x, sign):
-    return x.plus if sign > 0 else x.minus
 
 
 def _removals(word, i, datum):
@@ -56,13 +53,10 @@ def _removals(word, i, datum):
     return out
 
 
-_LP_ONE = kernels.lp_const(1)
-
-
 def _field_matrix(den, rows):
     """Integer Laurent numerators over a common denominator -> RationalFn
     rows for the field elimination."""
-    if den == _LP_ONE:
+    if den == kernels.LP_ONE:
         return [[lp_to_ratfn(a) if a[1] else RF_ZERO for a in row]
                 for row in rows]
     d = lp_to_ratfn(den)
@@ -183,7 +177,7 @@ class WeightModule:
         got = self._brackets.get((n, d))
         if got is None:
             q = qinteger_signed(n, d)
-            got = {sign: ratfn_to_lp(_sp(q, sign)) for sign in SIGNS}
+            got = {sign: ratfn_to_lp(q.specialize(sign)) for sign in SIGNS}
             self._brackets[(n, d)] = got
         return got
 
@@ -412,10 +406,14 @@ def character(module, sign):
     return out
 
 
+def _sgn_label(sign):
+    return "+1" if sign > 0 else "-1"
+
+
 def character_report(module, sign):
     return {
         "lambda": list(module.lam),
-        "pi": "+1" if sign > 0 else "-1",
+        "pi": _sgn_label(sign),
         "character": [
             {"weight": list(w), "dim": d}
             for w, d in character(module, sign).items()
@@ -424,25 +422,6 @@ def character_report(module, sign):
 
 
 # -- relation suites ----------------------------------------------------
-
-
-def _serre_coeff(datum, i, j, k, twisted):
-    """Coefficient of the k-th higher-order commutator term.
-
-    The twisted flavor is the image of the straight one under the scalar
-    twist, which is what the dressed generators must satisfy.
-    """
-    b = 1 - datum.a(i, j)
-    pi_exp = comb(k, 2) * datum.p(i) + k * datum.p(i) * datum.p(j)
-    if twisted:
-        c = qbinomial(b, k, datum.d(i)).twist() * ((-PS_PI) ** pi_exp)
-    else:
-        c = qbinomial(b, k, datum.d(i)) * (PS_PI ** pi_exp)
-    return -c if k % 2 else c
-
-
-def _sgn_label(sign):
-    return "+1" if sign > 0 else "-1"
 
 
 def _commutator_entries(module, exponent_fn, twisted, entries):
@@ -506,8 +485,11 @@ def _serre_entries(module, exponent_fn, twisted, entries):
             if i == j:
                 continue
             b = 1 - datum.a(i, j)
-            coeffs = [_serre_coeff(datum, i, j, k, twisted)
+            # the dressed generators satisfy the twisted relation
+            coeffs = [serre_coefficient(datum, i, j, k)
                       for k in range(b + 1)]
+            if twisted:
+                coeffs = [c.twist() for c in coeffs]
             for sign in SIGNS:
                 for nu in module.weights:
                     n0 = module.dimension(nu, sign)
@@ -562,19 +544,23 @@ def _grouplike_entries(module, entries):
             for i in range(rank):
                 for a, mu in enumerate(samples):
                     fmat, fin = module.word_operator(sign, nu, (("F", i),))
-                    lhs = _scale(fmat, _sp(module.k_scalar(mu, fin), sign))
+                    lhs = _scale(fmat,
+                                 module.k_scalar(mu, fin).specialize(sign))
                     c = PiScalar.v_power(
                         -root.pair(mu, root.weight_in_X(unit_weight(rank, i))))
-                    rhs = _scale(fmat, _sp(c * module.k_scalar(mu, nu), sign))
+                    rhs = _scale(
+                        fmat, (c * module.k_scalar(mu, nu)).specialize(sign))
                     ok = lhs == rhs
                     entries.append({
                         "relation": "k-weight", "i": labels[i], "j": str(a),
                         "block": list(nu), "pi": _sgn_label(sign),
                         "status": "pass" if ok else "fail"})
-                    lhs = _scale(fmat, _sp(module.j_scalar(mu, fin), sign))
+                    lhs = _scale(fmat,
+                                 module.j_scalar(mu, fin).specialize(sign))
                     c = PiScalar.pi_power(
                         -root.pair(mu, root.weight_in_X(unit_weight(rank, i))))
-                    rhs = _scale(fmat, _sp(c * module.j_scalar(mu, nu), sign))
+                    rhs = _scale(
+                        fmat, (c * module.j_scalar(mu, nu)).specialize(sign))
                     ok = lhs == rhs
                     entries.append({
                         "relation": "j-weight", "i": labels[i], "j": str(a),
@@ -830,26 +816,28 @@ def verify_hat_twistor(module, mutate=False):
                 wt_f = module.block_weight(fin)
                 status = "pass"
                 for mu in y_samples:
-                    lhs = _scale(fmat, _sp(
+                    lhs = _scale(fmat, (
                         PiScalar.t_power(-root.pair(mu, wt_f))
-                        * PiScalar.v_power(root.pair(mu, wt_f)), sign))
+                        * PiScalar.v_power(root.pair(mu, wt_f))
+                    ).specialize(sign))
                     c = PiScalar.v_power(-root.pair(mu, i_pr)).twist() \
                         * PiScalar.t_power(-root.pair(mu, wt)) \
                         * PiScalar.v_power(root.pair(mu, wt))
-                    if lhs != _scale(fmat, _sp(c, sign)):
+                    if lhs != _scale(fmat, c.specialize(sign)):
                         status = "fail"
                 entries.append({
                     "relation": "k-weight", "i": labels[i], "block": list(nu),
                     "pi": _sgn_label(sign), "status": status})
                 status = "pass"
                 for mu in y_samples:
-                    lhs = _scale(fmat, _sp(
+                    lhs = _scale(fmat, (
                         PiScalar.t_power(2 * root.pair(mu, wt_f))
-                        * PiScalar.pi_power(root.pair(mu, wt_f)), sign))
+                        * PiScalar.pi_power(root.pair(mu, wt_f))
+                    ).specialize(sign))
                     c = PiScalar.pi_power(-root.pair(mu, i_pr)).twist() \
                         * PiScalar.t_power(2 * root.pair(mu, wt)) \
                         * PiScalar.pi_power(root.pair(mu, wt))
-                    if lhs != _scale(fmat, _sp(c, sign)):
+                    if lhs != _scale(fmat, c.specialize(sign)):
                         status = "fail"
                 entries.append({
                     "relation": "j-weight", "i": labels[i], "block": list(nu),

@@ -10,6 +10,7 @@ from covquant.cartan import (
     SuperCartanDatum,
     TransversalError,
     TwistForm,
+    _int_det,
     datum_from_dict,
     datum_hash,
     height,
@@ -276,3 +277,19 @@ def test_datum_from_dict_roundtrip():
     datum, root, tf = datum_from_dict(CATALOG["osp14"])
     assert datum.validate() == []
     assert datum == catalog_datum("osp14")[0]
+
+
+def test_int_det_matches_sympy():
+    rng = random.Random(19)
+    for _ in range(400):
+        n = rng.randrange(5)
+        m = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.3:
+            # a repeated row or a row combination: singular
+            a, b = rng.sample(range(n), 2)
+            f = rng.randrange(-2, 3)
+            m[a] = [f * c for c in m[b]]
+        assert _int_det(m) == sympy.Matrix(n, n, sum(m, [])).det()
+    for name in all_catalog_names():
+        A = catalog_datum(name)[0].cartan_matrix()
+        assert _int_det(A) == sympy.Matrix(A).det()

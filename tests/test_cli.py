@@ -136,11 +136,28 @@ ALL_COMMANDS = COMMANDS + [["character", "--lambda", "1,0", "--height", "2"],
     (("transversal",), [[0]]),
     (("transversal",), [[0, 0]]),
     (("transversal",), [[0, 0], [2, -1]]),
+    (("X",), []),
+    (("Y",), "s"),
 ], ids=["emb-row-short", "emb-row-long", "emb-row-missing", "pairing-shape",
         "transversal-short", "transversal-misses-class",
-        "transversal-congruent"])
+        "transversal-congruent", "X-list", "Y-string"])
 def test_bad_root_datum_shape_exits_2(capsys, tmp_path, args, where, value):
     code, payload = _run_edited_osp14(capsys, tmp_path, args, where, value)
+    assert code == 2
+    assert payload["error"].startswith("datum file is malformed")
+
+
+@pytest.mark.parametrize("args", ALL_COMMANDS,
+                         ids=["validate", "canonical", "character", "verify"])
+@pytest.mark.parametrize("value", [
+    "ab",
+    {"1": 0, "2": 1},
+    ["1", "1"],
+    ["1", 1],
+], ids=["string", "object", "duplicate", "duplicate-as-text"])
+def test_bad_indices_exit_2(capsys, tmp_path, args, value):
+    code, payload = _run_edited_osp14(capsys, tmp_path, args, ("indices",),
+                                      value)
     assert code == 2
     assert payload["error"].startswith("datum file is malformed")
 
@@ -377,9 +394,12 @@ def test_console_script_bytes_stable():
 
 # --- golden bytes ---------------------------------------------------------
 
-# (exit code, sha256 of the output) for the six benchmark invocations,
-# recorded before the scalar tower stored integral components as int.
-# Any change to the arithmetic must leave these bytes alone.
+# (exit code, sha256 of the output).  The first six are the benchmark
+# invocations, recorded before the scalar tower stored integral components
+# as int; the rest reach the a_ij = 0 Serre element (osp12_a1) and the
+# singular Cartan matrix (affine_b01), recorded before the duplicate Serre
+# coefficient, determinant and reduction routines were merged.  Any change
+# to the arithmetic must leave these bytes alone.
 GOLDEN = [
     (["canonical", "--datum", "osp14", "--height", "4"], 0,
      "b5f3af078882e4cc9609fdad505c4a26dd43a92f7fc439990d1f83ccd1795aa5"),
@@ -394,6 +414,35 @@ GOLDEN = [
     (["verify", "--datum", "osp14", "--suite", "all", "--height", "3",
       "--mutate"], 1,
      "a5b62316415dc98673c0cfcceb2d8aafb6985c7d79ffbaf243785d887fa79c76"),
+    (["canonical", "--datum", "osp12", "--height", "4"], 0,
+     "33dfc1884b52b6981eba376664a9c02ffcd5ebc9968586947d5930c7934d4908"),
+    (["canonical", "--datum", "osp12_a1", "--height", "4"], 0,
+     "29a049c9d47f83416b05d367d7741538499831507f8b38478ee32c8836f36039"),
+    (["canonical", "--datum", "affine_b01", "--height", "3"], 0,
+     "7dcf9e4936d3f362f6695f133f2e8e22a6608ee6437ce32da887a627a89b342e"),
+    (["canonical", "--datum", "osp14", "--height", "5"], 0,
+     "2952a492838eee4650c415778e9e51e3566c02f957d0f9864e2bfcf9c94d6b87"),
+    (["character", "--datum", "osp12_a1", "--lambda", "2,1", "--height", "4"],
+     0, "1f0c2366fe31e9e35dca142f7db8f66b16486518df5744ab878d4a8e24ef5065"),
+    (["character", "--datum", "affine_b01", "--lambda", "1,1,0",
+      "--height", "4"], 0,
+     "81d03961b0899c1a998a4d032a3c29cfb8b9370a25fd7ceee9261e474e5f2b0a"),
+    (["character", "--datum", "osp16", "--lambda", "1,1,1", "--height", "4"],
+     0, "f09ba039a5e2f923c29389590cdbf364d5aabb17d3ee83a643c4f5a96ec3fba1"),
+    (["verify", "--datum", "osp12", "--suite", "all", "--height", "4"], 0,
+     "46b90c17a140344b7b30ab9d90a8214c4098625ea8178127a5a58288fdef6a49"),
+    (["verify", "--datum", "osp12_a1", "--suite", "all", "--height", "4"], 0,
+     "004c3e1d7e26563ac36c3d5c594da57dde39e723143a43c1d624eb43471aebcb"),
+    (["verify", "--datum", "affine_b01", "--suite", "all", "--height", "3"], 0,
+     "5259c74aaddebcaa4cbf391c83c057e80875dcbc68bbcef52882107c21d847c5"),
+    (["verify", "--datum", "osp12_a1", "--suite", "all", "--height", "3",
+      "--mutate"], 1,
+     "42e60fbad1970dd513ce334e9f5ec29ef871ec71c26160a67863c5be9ed7d6a9"),
+    (["verify", "--datum", "affine_b01", "--suite", "all", "--height", "2",
+      "--mutate"], 1,
+     "c40973cd0cb66b730e000e3b0ed4d8f3137c06882863731b4ab9fd7c3042fefa"),
+    (["validate", "--datum", "affine_b01"], 0,
+     "b704d47594c80da2e45b95dae7f8201366db700088e806924ec9e83dad39ff93"),
 ]
 
 
@@ -403,4 +452,34 @@ GOLDEN = [
 def test_golden_output_digest(tmp_path, argv, code, digest):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _osp14_root_datum(pairing, emb_x):
+    data = json.loads(json.dumps(CATALOG["osp14"]))
+    data["X"] = {"rank": 2, "pairing": pairing, "emb": emb_x}
+    data["Y"] = {"rank": 2, "emb": [[1, 0], [0, 1]]}
+    return data
+
+
+# validate on datum files, run as "datum.json" from the file's directory so
+# that the echoed path is fixed
+GOLDEN_FILES = [
+    # "pairing determinant 2 is not a unit"
+    (_osp14_root_datum([[2, 0], [0, 1]], [[1, -1], [-1, 2]]), 1,
+     "3dc8b1e50cc2292a1bb2f8192742bd6ba6aab26868624dc0019f2fbd83f5b049"),
+    # "<2, 2'> = 3 != Cartan integer 2"
+    (_osp14_root_datum([[1, 0], [0, 1]], [[2, -1], [-2, 3]]), 1,
+     "85965cea155da5f286a89f39b25a46212605babc68a7edfd3980243c5cb697d1"),
+]
+
+
+@pytest.mark.parametrize("data, code, digest", GOLDEN_FILES,
+                         ids=["pairing-det-2", "embedding-mismatch"])
+def test_golden_validate_digest(tmp_path, monkeypatch, data, code, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "datum.json").write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert main(["validate", "--datum", "datum.json", "--out", str(out)]) \
+        == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

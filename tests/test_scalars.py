@@ -261,8 +261,7 @@ def test_parse_rejects_malformed_imaginary_part():
 
 
 def test_render_golden():
-    x = (PiScalar.v_power(-2) * PS_T * PiScalar.from_rational(Fraction(3, 2))
-         + PS_ONE)
+    x = PiScalar.v_power(-2) * PS_T * PiScalar.from_int(3) / 2 + PS_ONE
     assert render_scalar(x) == {"plus": "(3/2)*t*v^-2 + 1",
                                 "minus": "(3/2)*t*v^-2 + 1"}
 
