@@ -11,7 +11,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .kernels import det_bareiss, lp_const
+from .kernels import int_det
 
 
 def _as_int(c):
@@ -37,6 +37,8 @@ class SuperCartanDatum:
         self.dot = tuple(tuple(_as_int(c) for c in row) for row in dot)
         self.parity = tuple(_as_int(p) for p in parity)
         n = len(self.indices)
+        if not n:
+            raise ValueError("a datum needs at least one index")
         if len(self.dot) != n or any(len(r) != n for r in self.dot):
             raise ValueError("dot matrix shape does not match index list")
         if len(self.parity) != n:
@@ -256,13 +258,6 @@ def _as_sequence(x):
 
 # --- integer linear algebra for the transversal -----------------------------
 
-def _int_det(mat):
-    """Determinant of a square integer matrix: Bareiss elimination on
-    constant Laurent polynomials."""
-    _, coeffs = det_bareiss([[lp_const(c) for c in row] for row in mat])
-    return coeffs[0] if coeffs else 0
-
-
 def hnf_columns(mat, ncols):
     """Column-style Hermite normal form.
 
@@ -371,7 +366,7 @@ class RootDatum:
         if any(Fraction(a).denominator != 1 for row in A for a in row):
             raise ValueError("Cartan integers 2(i.j)/(i.i) must be integers")
         A = [[int(a) for a in row] for row in A]
-        if _int_det(A) != 0:
+        if int_det(A) != 0:
             rank = n
             embX = [tuple(A[i][j] for i in range(n)) for j in range(n)]
             embY = [unit_weight(n, i) for i in range(n)]
@@ -398,7 +393,7 @@ class RootDatum:
             out.append({"condition": "root-datum",
                         "message": "pairing must be square to be perfect"})
             return out
-        det = _int_det(self.pairing)
+        det = int_det(self.pairing)
         if det not in (1, -1):
             out.append({"condition": "root-datum",
                         "message": f"pairing determinant {det} is not a unit"})
@@ -608,7 +603,9 @@ def datum_from_dict(data):
         rank_x = x.get("rank")
         rank_y = y.get("rank", rank_x)
         rank_x = rank_x if rank_x is not None else rank_y
-        pairing = x.get("pairing") or y.get("pairing")
+        pairing = x.get("pairing")
+        if pairing is None:
+            pairing = y.get("pairing")
         if pairing is None:
             pairing = [[1 if i == j else 0 for j in range(rank_x)]
                        for i in range(rank_y)]

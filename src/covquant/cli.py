@@ -325,15 +325,16 @@ def main(argv=None):
             cfg.lam = _parse_lambda(cfg.lam)
         payload, code = cfg.handler(cfg)
     except (InputError, GramCacheError) as e:
-        _emit({"error": str(e)}, cfg.out)
-        return 2
+        payload, code = {"error": str(e)}, 2
     except TransversalError as e:
-        _emit({"error": f"datum file is malformed: {e}"}, cfg.out)
-        return 2
+        payload, code = {"error": f"datum file is malformed: {e}"}, 2
     except ArithmeticError as e:
-        _emit({"error": f"computation failed: {e}"}, cfg.out)
-        return 1
-    _emit(payload, cfg.out)
+        payload, code = {"error": f"computation failed: {e}"}, 1
+    try:
+        _emit(payload, cfg.out)
+    except OSError as e:
+        _emit({"error": f"cannot write --out file: {e}"}, None)
+        return 2
     return code
 
 

@@ -8,8 +8,12 @@ reduction happen per pi-component; the two components must agree on
 dimensions and pivot words, which is asserted.
 
 The radical is found by echelonizing the span of padded Serre elements
-and certifying completeness with a nonzero complementary Gram minor; if
-the certificate fails we fall back to a direct kernel computation.
+and certifying completeness: every echelon row times the Gram matrix is
+zero, and the complementary Gram minor is nonsingular.  Both tests are
+exact in int arithmetic (a Kronecker-packed product, and the minor's
+determinant at v = 2 with the symbolic determinant only when that value
+is 0).  If the certificate fails we fall back to a direct kernel
+computation.
 
 The class-coordinate table holds, per weight and component, the class of
 every word in pivot-word coordinates as integer Laurent polynomials over
@@ -305,19 +309,17 @@ class QuotientContext:
 
     def _certify(self, gram_rows, ech, piv, ncols):
         """The echelonized Serre span is the whole radical iff every row is
-        in the kernel and the complementary Gram minor is nonsingular."""
-        for row in ech:
-            support = [(j, c) for j, c in enumerate(row)
-                       if not kernels.lp_is_zero(c)]
-            for grow in gram_rows:
-                acc = kernels.LP_ZERO
-                for j, c in support:
-                    acc = kernels.lp_add(acc, kernels.lp_mul(grow[j], c))
-                if not kernels.lp_is_zero(acc):
-                    return False
-        keep = [c for c in range(ncols) if c not in set(piv)]
+        in the kernel and the complementary Gram minor is nonsingular.
+        Both are decided exactly: the kernel test by a packed product
+        (kernels.lp_product_is_zero), the minor by its value at v = 2 with
+        a symbolic fallback (kernels.lp_det_nonzero)."""
+        # entry (r, i) of ech . G^T pairs echelon row r with Gram row i
+        if not kernels.lp_product_is_zero(ech, list(zip(*gram_rows))):
+            return False
+        lead = set(piv)
+        keep = [c for c in range(ncols) if c not in lead]
         minor = [[gram_rows[i][j] for j in keep] for i in keep]
-        return not kernels.lp_is_zero(kernels.det_bareiss(minor))
+        return kernels.lp_det_nonzero(minor)
 
     @staticmethod
     def _kernel_direct(gram_rows, ncols):

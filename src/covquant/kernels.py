@@ -199,6 +199,96 @@ def vec_reduce(rows, pivot_cols, vec):
     return list(vec), scale
 
 
+def _packed(a, lo, base):
+    """The int value at v = 2**base of v**-lo * a, for an LP a whose
+    offset is at least lo (Kronecker substitution)."""
+    off, coeffs = a
+    if not coeffs:
+        return 0
+    val = 0
+    for c in reversed(coeffs):
+        val = (val << base) + c
+    return val << base * (off - lo)
+
+
+def lp_product_is_zero(a, b):
+    """Whether the product of LP matrices a (r x n) and b (n x c) is zero.
+
+    Exact, in int arithmetic.  With lo_a and lo_b the lowest offsets in a
+    and b, every entry of v**-lo_a * a and of v**-lo_b * b is a polynomial,
+    and every coefficient of a product entry sum_j a_rj b_jc is at most
+    M = max_r sum_j |a_rj|_1 * max_jc |b_jc|_inf in absolute value.  Each
+    entry is packed as one int, its value at v = X = 2**B with X > M.  A
+    nonzero polynomial with coefficients below X in absolute value is
+    nonzero at X: its top term c_d X**d is at least X**d in absolute value
+    and the lower ones add up to at most (X - 1)(1 + X + ... + X**(d-1))
+    = X**d - 1.  So a packed sum is 0 iff the product entry is the zero
+    polynomial.
+    """
+    nz_a = [x for row in a for x in row if x[1]]
+    nz_b = [x for row in b for x in row if x[1]]
+    if not nz_a or not nz_b:
+        return True
+    lo_a = min(x[0] for x in nz_a)
+    lo_b = min(x[0] for x in nz_b)
+    bound = (max(sum(sum(map(abs, x[1])) for x in row) for row in a)
+             * max(max(map(abs, x[1])) for x in nz_b))
+    base = bound.bit_length()
+    packed_b = [[_packed(x, lo_b, base) for x in row] for row in b]
+    for row in a:
+        support = [(packed_b[j], _packed(x, lo_a, base))
+                   for j, x in enumerate(row) if x[1]]
+        for col in range(len(packed_b[0])):
+            if sum(bj[col] * x for bj, x in support):
+                return False
+    return True
+
+
+def int_det(m):
+    """Exact determinant of a square int matrix (Bareiss elimination)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [list(r) for r in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        row_k = m[k]
+        fkk = row_k[k]
+        for row_i in m[k + 1:]:
+            fik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * fkk - fik * row_k[j]) // prev
+        prev = fkk
+    return sign * m[n - 1][n - 1]
+
+
+def lp_det_nonzero(m):
+    """Whether det m != 0, exactly, for a square LP matrix m.
+
+    Row k times v**-lo_k, with lo_k its lowest offset, is a polynomial
+    row, and det m is v**(sum_k lo_k) times the determinant of the scaled
+    matrix.  Evaluation at v = 2 is a ring homomorphism Z[v] -> Z, so it
+    commutes with the determinant: a nonzero int_det of the scaled matrix
+    at v = 2 proves det m != 0.  Only when that value is 0 (v = 2 is a
+    root, or det m = 0) does the symbolic det_bareiss decide.
+    """
+    rows = []
+    for row in m:
+        offsets = [x[0] for x in row if x[1]]
+        if not offsets:
+            return False
+        lo = min(offsets)
+        rows.append([_packed(x, lo, 1) for x in row])
+    return bool(int_det(rows)) or not lp_is_zero(det_bareiss(m))
+
+
 def det_bareiss(m):
     """Exact determinant of a square LP matrix (Bareiss elimination)."""
     n = len(m)

@@ -154,7 +154,7 @@ class WeightModule:
         for i in range(rank):
             if nu[i]:
                 imgs, tgt = self._raising_images(i, nu)
-                self._check_raising_on_radical(i, nu, imgs, tgt)
+                self._check_raising_on_radical(i, nu, imgs)
                 m = ctx.dimension(tgt)
                 for sign in SIGNS:
                     den = ctx.class_coords(tgt)[sign][0]
@@ -214,32 +214,21 @@ class WeightModule:
             imgs[sign] = out
         return imgs, tgt
 
-    def _check_raising_on_radical(self, i, nu, imgs, tgt):
+    def _check_raising_on_radical(self, i, nu, imgs):
         # The unrolled recursion is only well defined on the quotient if
         # it sends the relation ideal into the relation ideal; that it
         # does is a theorem, so any residue here means an arithmetic bug.
         # The images share one nonzero denominator, so the numerators
         # must vanish.
-        ctx = self.ctx
-        words = ctx.words(nu)
-        m = ctx.dimension(tgt)
+        words = self.ctx.words(nu)
         for sign in SIGNS:
-            rows, _ = ctx.radical(nu)[sign]
+            rows, _ = self.ctx.radical(nu)[sign]
             img = imgs[sign]
-            for row in rows:
-                acc = [kernels.LP_ZERO] * m
-                for a, w in zip(row, words):
-                    if not a[1]:
-                        continue
-                    for r, s in enumerate(img[w]):
-                        if s[1]:
-                            acc[r] = kernels.lp_add(acc[r],
-                                                    kernels.lp_mul(a, s))
-                if any(x[1] for x in acc):
-                    raise ArithmeticError(
-                        "raising recursion is inconsistent on the relation "
-                        f"ideal at weight {nu} (generator "
-                        f"{self.datum.indices[i]}, pi={sign:+d})")
+            if not kernels.lp_product_is_zero(rows, [img[w] for w in words]):
+                raise ArithmeticError(
+                    "raising recursion is inconsistent on the relation "
+                    f"ideal at weight {nu} (generator "
+                    f"{self.datum.indices[i]}, pi={sign:+d})")
 
     def _build_kernel(self, sign, nu):
         ctx = self.ctx

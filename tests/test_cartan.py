@@ -10,7 +10,6 @@ from covquant.cartan import (
     SuperCartanDatum,
     TransversalError,
     TwistForm,
-    _int_det,
     datum_from_dict,
     datum_hash,
     height,
@@ -22,6 +21,7 @@ from covquant.cartan import (
     weight_sequence,
 )
 from covquant.catalog import CATALOG, all_catalog_names, catalog_datum
+from covquant.kernels import int_det
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +289,7 @@ def test_int_det_matches_sympy():
             a, b = rng.sample(range(n), 2)
             f = rng.randrange(-2, 3)
             m[a] = [f * c for c in m[b]]
-        assert _int_det(m) == sympy.Matrix(n, n, sum(m, [])).det()
+        assert int_det(m) == sympy.Matrix(n, n, sum(m, [])).det()
     for name in all_catalog_names():
         A = catalog_datum(name)[0].cartan_matrix()
-        assert _int_det(A) == sympy.Matrix(A).det()
+        assert int_det(A) == sympy.Matrix(A).det()

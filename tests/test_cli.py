@@ -138,9 +138,10 @@ ALL_COMMANDS = COMMANDS + [["character", "--lambda", "1,0", "--height", "2"],
     (("transversal",), [[0, 0], [2, -1]]),
     (("X",), []),
     (("Y",), "s"),
+    (("X", "pairing"), []),
 ], ids=["emb-row-short", "emb-row-long", "emb-row-missing", "pairing-shape",
         "transversal-short", "transversal-misses-class",
-        "transversal-congruent", "X-list", "Y-string"])
+        "transversal-congruent", "X-list", "Y-string", "pairing-empty"])
 def test_bad_root_datum_shape_exits_2(capsys, tmp_path, args, where, value):
     code, payload = _run_edited_osp14(capsys, tmp_path, args, where, value)
     assert code == 2
@@ -160,6 +161,17 @@ def test_bad_indices_exit_2(capsys, tmp_path, args, value):
                                       value)
     assert code == 2
     assert payload["error"].startswith("datum file is malformed")
+
+
+@pytest.mark.parametrize("args", ALL_COMMANDS,
+                         ids=["validate", "canonical", "character", "verify"])
+def test_rank_zero_datum_exits_2(capsys, tmp_path, args):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"indices": [], "dot": [], "parity": []}))
+    code, payload = run_cli(capsys, [args[0], "--datum", str(path)] + args[1:])
+    assert code == 2
+    assert payload["error"] == ("datum file is malformed: a datum needs at "
+                                "least one index")
 
 
 def test_weight_outside_user_transversal_exits_2(capsys, tmp_path):
@@ -258,6 +270,17 @@ def test_cache_write_failure_exits_2(capsys, tmp_path):
     code, payload = run_cli(capsys, argv)
     assert code == 2
     assert str(target) in payload["error"]
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, payload = run_cli(capsys, ["character", "--datum", "osp14",
+                                     "--lambda", "1,0", "--height", "2",
+                                     "--out", str(out)])
+    assert code == 2
+    assert payload["error"].startswith("cannot write --out file")
+    assert str(out) in payload["error"]
+    assert not out.exists()
 
 
 def test_height_cap(capsys):
@@ -443,6 +466,8 @@ GOLDEN = [
      "c40973cd0cb66b730e000e3b0ed4d8f3137c06882863731b4ab9fd7c3042fefa"),
     (["validate", "--datum", "affine_b01"], 0,
      "b704d47594c80da2e45b95dae7f8201366db700088e806924ec9e83dad39ff93"),
+    (["character", "--datum", "osp14", "--lambda", "1,1", "--height", "7"], 0,
+     "38d8ea34c31b032d8dc039ba24f7d6e2ffd88563d05f90f1860b1aa8737d8191"),
 ]
 
 

@@ -408,6 +408,36 @@ def test_fallback_kernel_matches_serre_route(osp14_ctx):
                 assert all(kernels.lp_is_zero(a) for a in res)
 
 
+# --- the certificate ---------------------------------------------------------------
+
+
+def test_certify_rejects_rows_off_the_kernel_or_short(osp14_ctx):
+    ctx = osp14_ctx
+    nu = (3, 1)
+    n = len(ctx.words(nu))
+    for sign in (1, -1):
+        rows, piv = ctx.radical(nu)[sign]
+        gm = ctx.gram(nu)[sign]
+        assert ctx._certify(gm, rows, piv, n)
+        # a unit added at a pivot word moves the row off the kernel
+        free = next(c for c in range(n) if c not in piv)
+        moved = [list(r) for r in rows]
+        moved[0][free] = kernels.lp_add(moved[0][free], kernels.LP_ONE)
+        assert not ctx._certify(gm, moved, piv, n)
+        # without its last row the span misses part of the radical, so the
+        # complementary minor is singular
+        assert not ctx._certify(gm, rows[:-1], piv[:-1], n)
+
+
+@pytest.mark.parametrize("name,height", [
+    ("osp12", 8), ("osp12_a1", 7), ("osp14", 8), ("osp16", 6),
+    ("affine_b01", 6)])
+def test_catalog_radical_takes_serre_route(name, height):
+    ctx = QuotientContext(*catalog_datum(name))
+    for nu in ctx.free.weights_up_to_height(height):
+        assert ctx.radical_route(nu) == "serre", nu
+
+
 # --- padded Serre rows ---------------------------------------------------------------
 
 

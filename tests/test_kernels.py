@@ -123,6 +123,114 @@ def test_det_bareiss_singular(kern):
     assert kern.lp_is_zero(kern.det_bareiss(m))
 
 
+def explicit_product(kern, a, b):
+    return [[sum_lp(kern, [kern.lp_mul(x, b[j][c]) for j, x in enumerate(row)])
+             for c in range(len(b[0]))] for row in a]
+
+
+def sum_lp(kern, terms):
+    acc = kern.LP_ZERO
+    for t in terms:
+        acc = kern.lp_add(acc, t)
+    return acc
+
+
+def big_lp(kern, rng):
+    return kern.lp_trim(*random_lp(rng, max_terms=5, max_coeff=10 ** 15,
+                                   max_off=6))
+
+
+def test_product_is_zero_matches_explicit_product(kern):
+    rng = random.Random(31)
+    for _ in range(40):
+        r, n, c = rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(1, 4)
+        a = [[big_lp(kern, rng) for _ in range(n)] for _ in range(r)]
+        b = [[big_lp(kern, rng) for _ in range(c)] for _ in range(n)]
+        want = all(kern.lp_is_zero(x)
+                   for row in explicit_product(kern, a, b) for x in row)
+        assert kern.lp_product_is_zero(a, b) == want
+    for _ in range(40):
+        # rows (f x, f y) against columns (g y, -g x): a zero product, and
+        # nonzero once one coefficient of b moves by 1
+        x, y = big_lp(kern, rng), big_lp(kern, rng)
+        fs = [big_lp(kern, rng) for _ in range(rng.randrange(1, 4))]
+        gs = [big_lp(kern, rng) for _ in range(rng.randrange(1, 4))]
+        a = [[kern.lp_mul(f, x), kern.lp_mul(f, y)] for f in fs]
+        b = [[kern.lp_mul(g, y) for g in gs],
+             [kern.lp_neg(kern.lp_mul(g, x)) for g in gs]]
+        assert kern.lp_product_is_zero(a, b)
+        j, col = rng.randrange(2), rng.randrange(len(gs))
+        b[j][col] = kern.lp_add(b[j][col],
+                                kern.lp_trim(rng.randrange(-6, 7), (1,)))
+        want = all(kern.lp_is_zero(e)
+                   for row in explicit_product(kern, a, b) for e in row)
+        assert kern.lp_product_is_zero(a, b) == want
+
+
+def test_product_is_zero_empty_and_zero_matrices(kern):
+    z = kern.LP_ZERO
+    assert kern.lp_product_is_zero([], [])
+    assert kern.lp_product_is_zero([[z, z]], [[(0, (1,))], [(3, (2,))]])
+    assert kern.lp_product_is_zero([[(0, (1,)), (0, (1,))]], [[], []])
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 200])
+def test_product_is_zero_at_the_base_boundary(kern, k):
+    # 1 * (2**k - v): every product coefficient is at most M = 2**k, so the
+    # base is k + 1 bits; at k bits the packed value 2**k - 2**k would be a
+    # false zero
+    for off_a, off_b in ((0, 0), (-3, -5), (4, -2)):
+        a = [[(off_a, (1,))]]
+        b = [[(off_b, (2 ** k, -1))]]
+        assert kern._packed(b[0][0], off_b, k) == 0
+        assert not kern.lp_product_is_zero(a, b)
+        b = [[(off_b, (-(2 ** k), 1))]]
+        assert not kern.lp_product_is_zero(a, b)
+
+
+def lp_det_calls(kern, monkeypatch):
+    calls = []
+    symbolic = kern.det_bareiss
+
+    def counted(m):
+        calls.append(len(m))
+        return symbolic(m)
+    monkeypatch.setattr(kern, "det_bareiss", counted)
+    return calls
+
+
+V_MINUS_2 = (0, (-2, 1))
+
+
+@pytest.mark.parametrize("m", [
+    [[V_MINUS_2]],
+    [[(1, (1,)), (0, (2,))], [(0, (2,)), (1, (1,))]],
+    [[(-2, (1,)), (-1, (1,))], [(-2, (2,)), (0, (1,))]],
+], ids=["v-2", "v^2-4", "v^-3(v-2)"])
+def test_det_nonzero_root_at_two_falls_back(kern, monkeypatch, m):
+    calls = lp_det_calls(kern, monkeypatch)
+    assert kern.lp_det_nonzero(m)
+    assert calls == [len(m)]
+
+
+def test_det_nonzero_matches_det_bareiss(kern, monkeypatch):
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            m = random_matrix(kern, rng, n, n)
+            want = not kern.lp_is_zero(kern.det_bareiss(m))
+            assert kern.lp_det_nonzero(m) == want
+    assert kern.lp_det_nonzero([])
+    rng = random.Random(3)
+    row = [kern.lp_trim(*random_lp(rng)) for _ in range(3)]
+    other = [kern.lp_trim(*random_lp(rng)) for _ in range(3)]
+    assert not kern.lp_det_nonzero([row, other, list(row)])
+    z = kern.LP_ZERO
+    calls = lp_det_calls(kern, monkeypatch)
+    assert not kern.lp_det_nonzero([[V_MINUS_2, z], [z, z]])
+    assert calls == []
+
+
 def test_echelon_rank_matches_sympy(kern):
     rng = random.Random(77)
     for nrows, ncols in ((2, 3), (3, 3), (4, 3), (5, 4)):

@@ -1,6 +1,7 @@
 """Highest-weight module construction and the module-level twistor suites."""
 
 import json
+import re
 
 import pytest
 
@@ -311,3 +312,22 @@ def test_chi_diagram_star_products(mod14):
 
 def test_chi_diagram_zero_element(mod14):
     assert verify_chi_diagram(mod14, mod14.ctx.free.zero())
+
+
+def test_raising_check_rejects_images_off_the_ideal():
+    # negative control for the relation-ideal check: one image entry moved
+    # by 1 on a word in a radical row's support must be caught
+    ctx = QuotientContext(*catalog_datum("osp14"))
+    module = build_module(ctx, (2, 0), 4)
+    nu, i = (3, 1), 0
+    imgs, _ = module._raising_images(i, nu)
+    module._check_raising_on_radical(i, nu, imgs)
+    for sign in (1, -1):
+        row = ctx.radical(nu)[sign][0][0]
+        t = next(t for t, a in enumerate(row) if a[1])
+        bad = {s: {w: list(img) for w, img in imgs[s].items()} for s in imgs}
+        w = ctx.words(nu)[t]
+        bad[sign][w][0] = umod.kernels.lp_add(bad[sign][w][0], (0, (1,)))
+        with pytest.raises(ArithmeticError,
+                           match=re.escape(f"pi={sign:+d})")):
+            module._check_raising_on_radical(i, nu, bad)
