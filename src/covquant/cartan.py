@@ -449,7 +449,7 @@ class TwistForm:
     phi_dot to X through a fixed transversal of X/Z[I]."""
 
     __slots__ = ("datum", "root", "_table", "_H", "_U", "_pivots",
-                 "user_transversal")
+                 "user_transversal", "_decomposed")
 
     def __init__(self, datum, root=None, user_transversal=None):
         self.datum = datum
@@ -470,6 +470,7 @@ class TwistForm:
              for i in range(self.root.rankX)]
         self._H, self._U, self._pivots = hnf_columns(M, n)
         self.user_transversal = None
+        self._decomposed = {}
         if user_transversal is not None:
             self.user_transversal = self._check_transversal(
                 [tuple(_as_int(c) for c in v) for v in user_transversal])
@@ -520,7 +521,16 @@ class TwistForm:
 
     def decompose(self, lam):
         """lam = mu' + c with mu in Z[I], c in the transversal; returns
-        (mu, c).  Raises ValueError if no stored representative works."""
+        (mu, c), memoized per weight.  Raises TransversalError (a
+        ValueError) if no stored representative works; that outcome is
+        not memoized, so it raises on every call."""
+        lam = tuple(lam)
+        got = self._decomposed.get(lam)
+        if got is None:
+            got = self._decomposed[lam] = self._decompose(lam)
+        return got
+
+    def _decompose(self, lam):
         if self.user_transversal is not None:
             for c in self.user_transversal:
                 mu = self._solve_in_root_lattice(weight_sub(lam, c))

@@ -546,13 +546,23 @@ def _v_power(m, d):
 
 
 def qinteger(k, d=1):
-    """<k> at (v^d, pi^d): sum_{l=0}^{k-1} (pi^d v^d)^(k-1-l) * v^(-d l)."""
+    """<k> at (v^d, pi^d): sum_{l=0}^{k-1} (pi^d v^d)^(k-1-l) * v^(-d l).
+
+    The k terms have the distinct exponents d(k-1-2l), so each component
+    is written down directly: coefficient 1 at pi = +1 and
+    (-1)^(d(k-1-l)) at pi = -1.
+    """
     if k < 0:
         raise ValueError("qinteger needs k >= 0; use qinteger_signed")
-    out = PS_ZERO
+    plus = {}
+    minus = {}
+    neg = -G_ONE
     for l in range(k):
-        out = out + _pi_v_power(k - 1 - l, d) * _v_power(-l, d)
-    return out
+        e = d * (k - 1 - 2 * l)
+        plus[e] = G_ONE
+        minus[e] = neg if d * (k - 1 - l) % 2 else G_ONE
+    return PiScalar(RationalFn(LaurentPoly(plus)),
+                    RationalFn(LaurentPoly(minus)))
 
 
 def qinteger_signed(k, d=1):

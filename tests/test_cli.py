@@ -5,11 +5,13 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 from covquant.catalog import CATALOG
-from covquant.cli import HEIGHT_CAP, main
+from covquant import scalars
+from covquant.cli import BRACKET_TERM_CAP, HEIGHT_CAP, main
 
 
 def run_cli(capsys, args):
@@ -295,6 +297,34 @@ def test_height_cap(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["character", "verify"])
+def test_huge_lambda_exits_2_quickly(capsys, command):
+    start = time.perf_counter()
+    code, payload = run_cli(
+        capsys, [command, "--datum", "osp14",
+                 "--lambda", "99999999999999999999,0", "--height", "2"])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "index '1'" in payload["error"]
+    assert str(BRACKET_TERM_CAP) in payload["error"]
+
+
+def test_lambda_bracket_budget_boundary(capsys):
+    # osp14 has d = (1, 2): the second coordinate counts twice, and a
+    # negative pairing counts by its size
+    cap = BRACKET_TERM_CAP
+    for lam, code, index in [(f"{cap},0", 0, None), (f"{cap + 1},0", 2, "1"),
+                             (f"0,{cap // 2}", 0, None),
+                             (f"0,{cap // 2 + 1}", 2, "2"),
+                             (f"-{cap + 1},0", 2, "1")]:
+        got, payload = run_cli(
+            capsys, ["character", "--datum", "osp14", f"--lambda={lam}",
+                     "--height", "1"])
+        assert got == code, (lam, payload)
+        if index is not None:
+            assert f"index '{index}'" in payload["error"]
+
+
 # --- character ------------------------------------------------------------
 
 
@@ -468,6 +498,12 @@ GOLDEN = [
      "b704d47594c80da2e45b95dae7f8201366db700088e806924ec9e83dad39ff93"),
     (["character", "--datum", "osp14", "--lambda", "1,1", "--height", "7"], 0,
      "38d8ea34c31b032d8dc039ba24f7d6e2ffd88563d05f90f1860b1aa8737d8191"),
+    (["verify", "--datum", "osp14", "--lambda", "2,0", "--suite", "all",
+      "--height", "4"], 0,
+     "977045132506c268fb8ca5718574af7dc01d7e6d67413b9a6996e68ff021b517"),
+    (["verify", "--datum", "osp16", "--lambda", "1,0,1", "--suite", "all",
+      "--height", "3", "--mutate"], 1,
+     "062b079b2fc9bafeb1f9e916f3466c74b325d6b2f31c3cafde97746f2bbf0692"),
 ]
 
 
@@ -478,6 +514,26 @@ def test_golden_output_digest(tmp_path, argv, code, digest):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# RationalFn constructions of one in-process verify run, as recorded when
+# the module suites started sharing memoized word products (9046 before)
+VERIFY_OSP14_H3_RATFN_COUNT = 5109
+
+
+def test_verify_rationalfn_count_guard(tmp_path, monkeypatch):
+    count = [0]
+    init = scalars.RationalFn.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scalars.RationalFn, "__init__", counting)
+    argv = ["verify", "--datum", "osp14", "--suite", "all", "--height", "3",
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    assert count[0] <= VERIFY_OSP14_H3_RATFN_COUNT
 
 
 def _osp14_root_datum(pairing, emb_x):

@@ -69,6 +69,28 @@ def test_qinteger_matches_oracle(k, d):
                                  oracles.qinteger_oracle(k, d, -1))
 
 
+def _qinteger_by_sums(k, d):
+    """<k> as k PiScalar additions of (pi^d v^d)^(k-1-l) v^(-dl), extended
+    to k < 0 by <-m> = -pi^(dm) <m>: the construction qinteger replaced."""
+    if k < 0:
+        return -(PiScalar.pi_power(-d * k) * _qinteger_by_sums(-k, d))
+    out = PS_ZERO
+    for l in range(k):
+        e = d * (k - 1 - l)
+        plus = RationalFn(LaurentPoly({e - d * l: 1}))
+        minus = RationalFn(LaurentPoly({e - d * l: (-1) ** e}))
+        out = out + PiScalar(plus, minus)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_qinteger_matches_sum_construction(d):
+    for k in range(-30, 31):
+        assert qinteger_signed(k, d) == _qinteger_by_sums(k, d), k
+        if k >= 0:
+            assert qinteger(k, d) == _qinteger_by_sums(k, d), k
+
+
 def test_qinteger_signed():
     for k in range(1, 5):
         for d in (1, 2):

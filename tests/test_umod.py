@@ -1,5 +1,6 @@
 """Highest-weight module construction and the module-level twistor suites."""
 
+import copy
 import json
 import re
 
@@ -9,6 +10,7 @@ from covquant import umod
 from covquant.cartan import height, unit_weight, weight_sub, weight_zero
 from covquant.catalog import catalog_datum, finite_catalog_names
 from covquant.halfqg import QuotientContext
+from covquant.linalg import RF_ONE, RF_ZERO
 from covquant.umod import (
     ModifiedTwistData,
     TruncationBoundary,
@@ -75,7 +77,8 @@ def test_rank1_raising_entries_match_oracle(ctx12):
     m = build_module(ctx12, (3,), 5)
     for sign in (1, -1):
         for k in range(1, 4):
-            mat, fin = m.word_operator(sign, (k,), (("E", 0),))
+            mat, texp, fin = m.word_operator(sign, (k,), (("E", 0),))
+            assert texp == 0
             assert fin == (k - 1,)
             want = rank1_raising_scalar_oracle(3, k, sign)
             assert sympy.simplify(ratfn_to_sympy(mat[0][0]) - want) == 0
@@ -87,7 +90,7 @@ def test_trivial_highest_weight_is_one_dimensional(ctx12):
         assert dims_along_chain(m, sign) == [1, 0, 0, 0, 0]
         assert character(m, sign) == {(0,): 1}
     # the lone lowering operator is the zero map into the empty block below
-    mat, _ = m.word_operator(1, (0,), (("F", 0),))
+    mat, _, _ = m.word_operator(1, (0,), (("F", 0),))
     assert mat == []
 
 
@@ -331,3 +334,76 @@ def test_raising_check_rejects_images_off_the_ideal():
         with pytest.raises(ArithmeticError,
                            match=re.escape(f"pi={sign:+d})")):
             module._check_raising_on_radical(i, nu, bad)
+
+
+# --- memoized word products ---------------------------------------------
+
+
+def _plain_mul(a, b, ncols):
+    return [[sum((x * b[t][c] for t, x in enumerate(row) if x and b[t][c]),
+                 RF_ZERO)
+             for c in range(ncols)] for row in a]
+
+
+def _fold(module, gens, sign, nu, word):
+    """The bare product of word on the block at nu, letter by letter from
+    the right, with the generator matrices in gens; None if the word
+    passes through a negative depth."""
+    rank = module.datum.rank
+    n0 = module.dimension(nu, sign)
+    mat = [[RF_ONE if r == c else RF_ZERO for c in range(n0)]
+           for r in range(n0)]
+    cur = nu
+    for kind, i in reversed(word):
+        step = unit_weight(rank, i)
+        nxt = tuple(a + b if kind == "F" else a - b
+                    for a, b in zip(cur, step))
+        if min(nxt) < 0:
+            return None
+        mat = _plain_mul(gens[kind][(sign, i, cur)], mat, n0)
+        cur = nxt
+    return mat
+
+
+def _snapshot(mats):
+    return {k: copy.deepcopy(v) for k, v in mats.items()}
+
+
+@pytest.mark.parametrize("name,lam,hmax", [
+    ("osp14", (1, 1), 4),
+    ("osp16", (1, 1, 1), 3),
+])
+def test_memoized_products_match_fold_and_stay_unmutated(name, lam, hmax):
+    ctx = QuotientContext(*catalog_datum(name))
+    m = build_module(ctx, lam, hmax)
+    gens = {"E": _snapshot(m._eop), "F": _snapshot(m._fop)}
+    requested = set()
+    word_operator = m.word_operator
+
+    def recording(sign, nu, word, exponent_fn=None):
+        requested.add((sign, tuple(nu), tuple(word)))
+        return word_operator(sign, nu, word, exponent_fn)
+
+    m.word_operator = recording
+
+    def run_suites():
+        for mutate in (False, True):
+            assert verify_modified_twistor(m, mutate=mutate)["pass"] \
+                is not mutate
+            assert verify_hat_twistor(m, mutate=mutate)["pass"] is not mutate
+        assert chi_suite(m, min(hmax, 4))["pass"]
+
+    run_suites()
+    assert len(requested) > 100
+    for sign, nu, word in requested:
+        mat, _, _ = word_operator(sign, nu, word)
+        assert mat == _fold(m, gens, sign, nu, word), (sign, nu, word)
+    # the generator matrices and every shared product survive a second
+    # full run unchanged
+    products = {k: v[0] for k, v in m._products.items()}
+    before = _snapshot(products)
+    run_suites()
+    assert m._eop == gens["E"] and m._fop == gens["F"]
+    for key, mat in products.items():
+        assert m._products[key][0] is mat
+        assert mat == before[key], key
