@@ -550,20 +550,8 @@ class TwistForm:
 
     def _solve_in_root_lattice(self, vec):
         """Solve vec = mu' exactly; None if vec is not in the image."""
-        vec = list(vec)
-        q = [0] * self.datum.rank
-        for row, col in self._pivots:
-            h = self._H[row][col]
-            if vec[row] % h != 0:
-                return None
-            f = vec[row] // h
-            q[col] = f
-            if f:
-                for i in range(self.root.rankX):
-                    vec[i] -= f * self._H[i][col]
-        if any(vec):
-            return None
-        return self._mu_from_q(q)
+        residue, q = self.reduce_to_transversal(vec)
+        return None if any(residue) else self._mu_from_q(q)
 
     def phi_dot(self, nu, lam):
         mu, _ = self.decompose(lam)

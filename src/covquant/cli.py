@@ -51,14 +51,14 @@ def _read_datum_dict(name_or_path):
         raise InputError(f"datum file is not valid JSON: {e}")
     if not isinstance(data, dict):
         raise InputError("datum file must hold a JSON object")
+    for key in ("indices", "dot", "parity"):
+        if key not in data:
+            raise InputError(f"datum file is missing the '{key}' field")
     return data
 
 
 def _load_context(cfg):
     data = _read_datum_dict(cfg.datum)
-    for key in ("indices", "dot", "parity"):
-        if key not in data:
-            raise InputError(f"datum file is missing the '{key}' field")
     try:
         datum, root, tf = datum_from_dict(data)
     except (ValueError, TypeError, KeyError) as e:
@@ -134,9 +134,6 @@ def _emit(payload, out_path):
 
 def cmd_validate(cfg):
     data = _read_datum_dict(cfg.datum)
-    for key in ("indices", "dot", "parity"):
-        if key not in data:
-            raise InputError(f"datum file is missing the '{key}' field")
     try:
         datum = SuperCartanDatum(data["indices"], data["dot"], data["parity"])
     except (ValueError, TypeError) as e:
@@ -250,9 +247,9 @@ def cmd_verify(cfg):
         raise InputError(f"unknown suite '{cfg.suite}'")
     ctx = _load_context(cfg)
     wanted = SUITES if cfg.suite == "all" else (cfg.suite,)
+    lam = _resolve_lambda(cfg, ctx)
     module = None
     if {"modified-twistor", "hat-twistor", "chi-diagram"} & set(wanted):
-        lam = _resolve_lambda(cfg, ctx)
         module = umod.build_module(ctx, lam, cfg.height)
     reports = []
     for name in wanted:

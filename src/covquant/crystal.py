@@ -77,21 +77,23 @@ def string_decompose(ctx, i, x):
     return StringDecomposition(i, parts)
 
 
-def f_tilde(ctx, i, x):
+def _shift_string(ctx, i, x, step):
+    """Move every string part of x by step: sum theta_i^{(n + step)} x_n,
+    dropping the parts where n + step < 0."""
     dec = string_decompose(ctx, i, x)
     out = FreeElement()
     for n, x_n in dec.parts:
-        out = out + ctx.free.mul(ctx.free.divided_power(i, n + 1), x_n)
+        if n + step >= 0:
+            out = out + ctx.free.mul(ctx.free.divided_power(i, n + step), x_n)
     return ctx.reduce_element(out)
+
+
+def f_tilde(ctx, i, x):
+    return _shift_string(ctx, i, x, 1)
 
 
 def e_tilde(ctx, i, x):
-    dec = string_decompose(ctx, i, x)
-    out = FreeElement()
-    for n, x_n in dec.parts:
-        if n >= 1:
-            out = out + ctx.free.mul(ctx.free.divided_power(i, n - 1), x_n)
-    return ctx.reduce_element(out)
+    return _shift_string(ctx, i, x, -1)
 
 
 def _bad_part(x):
@@ -183,6 +185,27 @@ def _lattice_coords(echelon, vec):
 
 def _residue(coords):
     return tuple(c.evaluate0() for c in coords)
+
+
+# Unit pairs (at pi = +1, at pi = -1) by which two residue pairs may
+# differ, each with the key a match reports: a sign per pi-component, and
+# t^a pi^b, which is t^a at pi = +1 and t^(a + 2b) at pi = -1.
+_SIGN_UNITS = tuple(((s, r), (GaussianRational(s), GaussianRational(r)))
+                    for s in (1, -1) for r in (1, -1))
+_TWIST_UNITS = tuple(((a, b), (GaussianRational.t_power(a),
+                               GaussianRational.t_power(a + 2 * b)))
+                     for a in range(4) for b in range(2))
+
+
+def _match_unit(v0, candidates, units):
+    """The first (key, element), over candidates and then units, with
+    v0 = unit * element.v0 in each pi-component; None if there is none."""
+    for el in candidates:
+        for key, pair in units:
+            if all(all(g * u == h for g, h in zip(side, want))
+                   for side, u, want in zip(el.v0, pair, v0)):
+                return key, el
+    return None
 
 
 class CrystalElement:
@@ -282,11 +305,9 @@ class Crystal:
             if not any(v0[0]) and not any(v0[1]):
                 raise ArithmeticError(
                     f"f_tilde image fell into vL at weight {nu}")
-            match = next(
-                (other for other in bucket
-                 if self._proportional_unit(v0, other.v0) is not None), None)
+            match = _match_unit(v0, bucket, _SIGN_UNITS)
             if match is not None:
-                self._record_edge(label, match.label, nu)
+                self._record_edge(label, match[1].label, nu)
                 continue
             if any(self._dependent_on(v0, bucket, side) for side in (0, 1)):
                 raise ArithmeticError(
@@ -313,26 +334,6 @@ class Crystal:
         if self._up.setdefault(key, parent) != parent:
             raise ArithmeticError(
                 f"two crystal classes share an f_tilde image at weight {nu}")
-
-    @staticmethod
-    def _proportional_unit(v0, w0):
-        """(s_plus, s_minus) in {±1}^2 with v0 = s·w0, else None."""
-        out = []
-        for a, b in zip(v0, w0):
-            s = None
-            for x, y in zip(a, b):
-                if bool(x) != bool(y):
-                    return None
-                if x:
-                    r = x / y
-                    if r != GaussianRational(1) and r != GaussianRational(-1):
-                        return None
-                    if s is None:
-                        s = r
-                    elif r != s:
-                        return None
-            out.append(s if s is not None else GaussianRational(1))
-        return tuple(out)
 
     @staticmethod
     def _dependent_on(v0, bucket, side):
@@ -580,7 +581,8 @@ class Crystal:
             match = None
             if lat is not None:
                 v0 = (_residue(lat[0]), _residue(lat[1]))
-                match = self._match_unit(v0, el.weight)
+                match = _match_unit(v0, self.by_weight.get(el.weight, []),
+                                    _TWIST_UNITS)
             if match is None:
                 ok = False
                 entries.append({
@@ -590,7 +592,7 @@ class Crystal:
                     "match": None,
                 })
             else:
-                a, b, target = match
+                (a, b), target = match
                 entries.append({
                     "label": el.label_text(ctx.datum),
                     "weight": list(el.weight),
@@ -600,18 +602,6 @@ class Crystal:
                     "target": target.label_text(ctx.datum),
                 })
         return {"height": self.height, "pass": ok, "entries": entries}
-
-    def _match_unit(self, v0, nu):
-        """Find (a, b, element) with v0 = t^a pi^b · element.v0."""
-        for target in self.by_weight.get(nu, []):
-            for a in range(4):
-                ta = GaussianRational(0, 1) ** a
-                for b in range(2):
-                    tb = ta * (-1 if b else 1)
-                    if (tuple(g * ta for g in target.v0[0]) == v0[0]
-                            and tuple(g * tb for g in target.v0[1]) == v0[1]):
-                        return a, b, target
-        return None
 
     def verify_rho_lattice(self):
         """rho stability: rho of every crystal rep stays in the lattice."""

@@ -21,16 +21,19 @@ class FreeElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        """terms: a dict or an iterable of (word, coefficient) pairs.
+        Coefficients of a repeated word are summed and zeros dropped, so
+        every operation builds its result through here."""
         clean = {}
         if terms:
             for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                if not c.is_zero():
+                if c:
                     acc = clean.get(w)
                     c = c if acc is None else acc + c
-                    if c.is_zero():
-                        clean.pop(w, None)
-                    else:
+                    if c:
                         clean[w] = c
+                    else:
+                        clean.pop(w, None)
         self.terms = clean
 
     def __bool__(self):
@@ -43,17 +46,7 @@ class FreeElement:
         return isinstance(other, FreeElement) and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        res = FreeElement()
-        res.terms = out
-        return res
+        return FreeElement([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         return self + other.scale(-PS_ONE)
@@ -62,11 +55,7 @@ class FreeElement:
         return self.scale(-PS_ONE)
 
     def scale(self, c):
-        if c.is_zero():
-            return FreeElement()
-        res = FreeElement()
-        res.terms = {w: s * c for w, s in self.terms.items()}
-        return res
+        return FreeElement((w, s * c) for w, s in self.terms.items())
 
     def words(self):
         return sorted(self.terms)
@@ -95,13 +84,7 @@ class FreeElement:
         return out
 
     def map_coefficients(self, f):
-        res = FreeElement()
-        res.terms = {}
-        for w, c in self.terms.items():
-            fc = f(c)
-            if not fc.is_zero():
-                res.terms[w] = fc
-        return res
+        return FreeElement((w, f(c)) for w, c in self.terms.items())
 
     def __repr__(self):
         if not self.terms:
@@ -146,32 +129,17 @@ class FreeAlgebra:
     # --- products ---------------------------------------------------------
 
     def mul(self, x, y):
-        out = {}
-        for w1, c1 in x.terms.items():
-            for w2, c2 in y.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        res = FreeElement()
-        res.terms = out
-        return res
+        return FreeElement((w1 + w2, c1 * c2)
+                           for w1, c1 in x.terms.items()
+                           for w2, c2 in y.terms.items())
 
     def star_mul(self, x, y):
         """Twisted product: t^{phi(|x|,|y|)} xy on homogeneous pieces."""
-        out = FreeElement()
-        for w1, c1 in x.terms.items():
-            nu1 = word_weight(w1, self.rank)
-            for w2, c2 in y.terms.items():
-                nu2 = word_weight(w2, self.rank)
-                e = self.tf.phi(nu1, nu2)
-                out = out + FreeElement(
-                    {w1 + w2: c1 * c2 * PiScalar.t_power(e)})
-        return out
+        rank, phi = self.rank, self.tf.phi
+        return FreeElement(
+            (w1 + w2, c1 * c2 * PiScalar.t_power(
+                phi(word_weight(w1, rank), word_weight(w2, rank))))
+            for w1, c1 in x.terms.items() for w2, c2 in y.terms.items())
 
     def power(self, x, n):
         acc = self.one()
@@ -208,11 +176,8 @@ class FreeAlgebra:
         return out
 
     def e_prime(self, k, x):
-        out = FreeElement()
-        for w, c in x.terms.items():
-            for rest, s in self.eprime_word(k, w).items():
-                out = out + FreeElement({rest: c * s})
-        return out
+        return FreeElement((rest, c * s) for w, c in x.terms.items()
+                           for rest, s in self.eprime_word(k, w).items())
 
     def pair_words(self, w1, w2, memo=None):
         """The bilinear form on two words as a (plus, minus) pair of
@@ -269,18 +234,7 @@ class FreeAlgebra:
     # --- (anti)automorphisms ----------------------------------------------
 
     def rho(self, x):
-        res = FreeElement()
-        out = {}
-        for w, c in x.terms.items():
-            rw = w[::-1]
-            s = out.get(rw)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(rw, None)
-            else:
-                out[rw] = s
-        res.terms = out
-        return res
+        return FreeElement((w[::-1], c) for w, c in x.terms.items())
 
     def bar(self, x):
         return x.map_coefficients(lambda c: c.bar())
@@ -297,23 +251,15 @@ class FreeAlgebra:
 
     def twistor(self, x):
         """Diagonal twistor: c_w w -> twist(c_w) t^{e(w)} w."""
-        res = FreeElement()
-        res.terms = {}
-        for w, c in x.terms.items():
-            tc = c.twist() * PiScalar.t_power(self.word_twist_exponent(w))
-            if not tc.is_zero():
-                res.terms[w] = tc
-        return res
+        return FreeElement(
+            (w, c.twist() * PiScalar.t_power(self.word_twist_exponent(w)))
+            for w, c in x.terms.items())
 
     def twistor_inv(self, x):
-        res = FreeElement()
-        res.terms = {}
-        for w, c in x.terms.items():
-            tc = c.twist_inv() * PiScalar.t_power(
-                -self.word_twist_exponent(w))
-            if not tc.is_zero():
-                res.terms[w] = tc
-        return res
+        return FreeElement(
+            (w, c.twist_inv()
+             * PiScalar.t_power(-self.word_twist_exponent(w)))
+            for w, c in x.terms.items())
 
     # --- word enumeration ---------------------------------------------------
 

@@ -429,15 +429,11 @@ class QuotientContext:
 
     def reduce_element(self, x):
         """The canonical pivot-word representative of x's class."""
-        if x.is_zero():
-            return FreeElement()
-        out = FreeElement()
+        terms = []
         for nu, part in x.graded(self.datum.rank).items():
             pivot_words, coords = self.reduce_at(part, nu)
-            for w, c in zip(pivot_words, coords):
-                if not c.is_zero():
-                    out = out + FreeElement({w: c})
-        return out
+            terms += zip(pivot_words, coords)
+        return FreeElement(terms)
 
     def is_zero_in_f(self, x):
         if x.is_zero():
@@ -459,12 +455,9 @@ class QuotientContext:
         if i == j:
             raise ValueError("Serre elements need two distinct indices")
         b = 1 - self.datum.a(i, j)
-        out = FreeElement()
-        for k in range(b + 1):
-            word = (i,) * (b - k) + (j,) + (i,) * k
-            out = out + FreeElement(
-                {word: serre_coefficient(self.datum, i, j, k)})
-        return out
+        return FreeElement(((i,) * (b - k) + (j,) + (i,) * k,
+                            serre_coefficient(self.datum, i, j, k))
+                           for k in range(b + 1))
 
     def serre_element_twisted(self, i, j, mutate=False):
         """The *-product Serre combination with twisted coefficients,

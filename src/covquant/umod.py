@@ -34,7 +34,7 @@ from math import comb
 from . import kernels, linalg
 from .cartan import height, unit_weight, weight_add, weight_sub, weight_zero
 from .halfqg import serre_coefficient
-from .linalg import RF_ZERO
+from .linalg import RF_ONE, RF_ZERO
 from .scalars import PS_ONE, PS_PI, GaussianRational, PiScalar, \
     RationalFn, SIGNS, lp_to_ratfn, qfactorial, qinteger_signed, ratfn_to_lp
 
@@ -97,7 +97,7 @@ def _add_into(acc, mat, c):
     for arow, row in zip(acc, mat):
         for s, x in enumerate(row):
             if x:
-                y = c * x
+                y = x if c is RF_ONE else c * x
                 arow[s] = arow[s] + y if arow[s] else y
     return acc
 
@@ -114,6 +114,24 @@ def _dressed(c, texp):
 
 def _is_zero(mat):
     return all(not x for row in mat for x in row)
+
+
+def _relation_holds(module, sign, nu, fin, terms, diag=None):
+    """Whether the sum of c * mat over the (mat, c) pairs in terms, maps
+    from the block at nu to the block at fin, equals diag times the
+    identity (zero when diag is None).  A pair whose matrix is None (a
+    zero composite) is skipped, so its scalar may be None too."""
+    nrows = 0 if min(fin) < 0 else module.dimension(fin, sign)
+    ncols = module.dimension(nu, sign)
+    acc = linalg.zeros(nrows, ncols)
+    for mat, c in terms:
+        if mat is not None:
+            _add_into(acc, mat, c)
+    if diag is None:
+        return _is_zero(acc)
+    return nrows == ncols and all(
+        x == (diag if r == s else RF_ZERO)
+        for r, row in enumerate(acc) for s, x in enumerate(row))
 
 
 class WeightModule:
@@ -332,19 +350,11 @@ class WeightModule:
             if height(nu) < self.hmax:
                 tgt = weight_add(nu, unit_weight(rank, i))
                 mat = self._f_pivot[(sign, i, nu)]
-                m = len(mat)
                 trows = self._nrows[(sign, tgt)]
                 tpiv = self._npiv[(sign, tgt)]
-                for row in self._nrows[(sign, nu)]:
-                    img = []
-                    for r in range(m):
-                        acc = RF_ZERO
-                        for t, f in enumerate(row):
-                            if f:
-                                comp = mat[r][t]
-                                if comp:
-                                    acc = acc + f * comp
-                        img.append(acc)
+                cols = [[row[t] for row in mat]
+                        for t in range(self.ctx.dimension(nu))]
+                for img in _mul(self._nrows[(sign, nu)], cols, len(mat)):
                     if any(linalg.reduce(trows, tpiv, img)):
                         raise ArithmeticError(
                             "lowering action escapes the raising kernel at "
@@ -489,7 +499,6 @@ def _commutator_entries(module, exponent_fn, twisted, entries):
             pifac[(i, j)] = base ** (datum.p(i) * datum.p(j))
     for sign in SIGNS:
         for nu in module.weights:
-            n0 = module.dimension(nu, sign)
             interior = height(nu) + 1 <= module.hmax
             for i in range(rank):
                 for j in range(rank):
@@ -504,27 +513,17 @@ def _commutator_entries(module, exponent_fn, twisted, entries):
                         sign, nu, (("E", i), ("F", j)), exponent_fn)
                     fe, e_fe, _ = module.word_operator(
                         sign, nu, (("F", j), ("E", i)), exponent_fn)
-                    if min(fin) < 0:
-                        nt = 0
-                    else:
-                        nt = module.dimension(fin, sign)
                     # both sides divided by the unit t^e_ef, so EF stays bare
-                    lhs = ([list(r) for r in ef] if ef is not None
-                           else linalg.zeros(nt, n0))
-                    if fe is not None:
-                        _add_into(lhs, fe, _dressed(
-                            -pifac[(i, j)].specialize(sign), e_fe - e_ef))
+                    diag = None
                     if i == j:
-                        c = module.bracket(module.pairing_at(i, nu),
-                                           datum.d(i), twisted)
-                        c = _dressed(c.specialize(sign), -e_ef)
-                        rhs = [[c if r == s else RF_ZERO
-                                for s in range(n0)] for r in range(n0)]
-                    else:
-                        rhs = linalg.zeros(nt, n0)
-                    same = len(lhs) == len(rhs) and all(
-                        x == y for lr, rr in zip(lhs, rhs)
-                        for x, y in zip(lr, rr))
+                        diag = _dressed(module.bracket(
+                            module.pairing_at(i, nu), datum.d(i),
+                            twisted).specialize(sign), -e_ef)
+                    same = _relation_holds(module, sign, nu, fin, (
+                        (ef, RF_ONE),
+                        (fe, None if fe is None else _dressed(
+                            -pifac[(i, j)].specialize(sign), e_fe - e_ef))),
+                        diag)
                     ent["status"] = "pass" if same else "fail"
                     entries.append(ent)
 
@@ -538,11 +537,13 @@ def _serre_entries(module, exponent_fn, twisted, entries):
             if i == j:
                 continue
             b = 1 - datum.a(i, j)
+            words = {kind: [((kind, i),) * (b - k) + ((kind, j),)
+                            + ((kind, i),) * k for k in range(b + 1)]
+                     for kind in "EF"}
             # the dressed generators satisfy the twisted relation
             coeffs = module.serre_coefficients(i, j, twisted)
             for sign in SIGNS:
                 for nu in module.weights:
-                    n0 = module.dimension(nu, sign)
                     for kind, relname in (("E", "serre-e"), ("F", "serre-f")):
                         ent = {"relation": relname, "i": labels[i],
                                "j": labels[j], "block": list(nu),
@@ -552,23 +553,13 @@ def _serre_entries(module, exponent_fn, twisted, entries):
                             ent["status"] = "boundary-skipped"
                             entries.append(ent)
                             continue
-                        acc = None
-                        fin_dim = 0
-                        for k in range(b + 1):
-                            word = ((kind, i),) * (b - k) + ((kind, j),) \
-                                + ((kind, i),) * k
-                            mat, texp, fin = module.word_operator(
-                                sign, nu, word, exponent_fn)
-                            if acc is None:
-                                if min(fin) < 0:
-                                    fin_dim = 0
-                                else:
-                                    fin_dim = module.dimension(fin, sign)
-                                acc = linalg.zeros(fin_dim, n0)
-                            if mat is not None:
-                                _add_into(acc, mat, _dressed(
-                                    coeffs[k].specialize(sign), texp))
-                        ent["status"] = "pass" if _is_zero(acc) else "fail"
+                        ops = [module.word_operator(sign, nu, w, exponent_fn)
+                               for w in words[kind]]
+                        ok = _relation_holds(module, sign, nu, ops[0][2], (
+                            (mat, _dressed(coeffs[k].specialize(sign), texp))
+                            for k, (mat, texp, _) in enumerate(ops)
+                            if mat is not None))
+                        ent["status"] = "pass" if ok else "fail"
                         entries.append(ent)
 
 
@@ -940,27 +931,28 @@ def verify_chi_diagram(module, x):
     twisted = {w: c.twist() for w, c in x.terms.items()}
     dressed = _chi_lower_exponent(module)
     words = sorted(set(psi_x.terms) | set(x.terms))
+
+    def terms(sign, delta, corr):
+        # lhs - rhs, collected per word: both routes act by the same bare
+        # lowering words, with the dressing folded into scalars
+        for w in words:
+            mat, texp, _ = module.word_operator(
+                sign, delta, tuple(("F", k) for k in w), dressed)
+            c = RF_ZERO
+            if w in psi_x.terms:
+                c = (psi_x.terms[w] * corr).specialize(sign)
+            if w in twisted:
+                c = c - _dressed(twisted[w].specialize(sign), texp)
+            yield mat, c
+
     for sign in SIGNS:
         for delta in module.weights:
             if height(delta) + height(nu) > module.hmax:
                 continue
-            n0 = module.dimension(delta, sign)
-            fin_dim = module.dimension(weight_add(delta, nu), sign)
             corr = PiScalar.t_power(
                 -module.tf.phi_dot(nu, module.block_weight(delta)))
-            # lhs - rhs, collected per word: both routes act by the same
-            # bare lowering words, with the dressing folded into scalars
-            diff = linalg.zeros(fin_dim, n0)
-            for w in words:
-                mat, texp, _ = module.word_operator(
-                    sign, delta, tuple(("F", k) for k in w), dressed)
-                c = RF_ZERO
-                if w in psi_x.terms:
-                    c = (psi_x.terms[w] * corr).specialize(sign)
-                if w in twisted:
-                    c = c - _dressed(twisted[w].specialize(sign), texp)
-                _add_into(diff, mat, c)
-            if not _is_zero(diff):
+            if not _relation_holds(module, sign, delta, weight_add(delta, nu),
+                                   terms(sign, delta, corr)):
                 return False
     return True
 

@@ -1,5 +1,6 @@
 """Cartan data, root data, phi/phi_dot, transversal, and weight stats."""
 
+import itertools
 import random
 
 import pytest
@@ -293,3 +294,39 @@ def test_int_det_matches_sympy():
     for name in all_catalog_names():
         A = catalog_datum(name)[0].cartan_matrix()
         assert int_det(A) == sympy.Matrix(A).det()
+
+
+def _solve_by_hnf_loop(tf, vec):
+    """The root-lattice solve as its own HNF loop, with an exactness test
+    at every pivot: the oracle for TwistForm._solve_in_root_lattice."""
+    vec = list(vec)
+    q = [0] * tf.datum.rank
+    for row, col in tf._pivots:
+        h = tf._H[row][col]
+        if vec[row] % h != 0:
+            return None
+        f = vec[row] // h
+        q[col] = f
+        for i in range(tf.root.rankX):
+            vec[i] -= f * tf._H[i][col]
+    if any(vec):
+        return None
+    return tf._mu_from_q(q)
+
+
+@pytest.mark.parametrize("name", ["osp14", "affine_b01"])
+def test_solve_in_root_lattice_matches_brute_force(name):
+    # affine_b01 has an infinite X/Z[I]: most vectors are off the lattice
+    datum, root, tf = catalog_datum(name)
+    preimages = {}
+    for mu in itertools.product(range(-12, 13), repeat=datum.rank):
+        preimages.setdefault(root.weight_in_X(mu), []).append(mu)
+    hits = 0
+    for vec in itertools.product(range(-4, 5), repeat=root.rankX):
+        got = tf._solve_in_root_lattice(vec)
+        # Z[I] embeds injectively, so a lattice vector has one preimage
+        want = preimages.get(vec, [None])
+        assert len(want) == 1 and got == want[0], (name, vec)
+        assert got == _solve_by_hnf_loop(tf, vec), (name, vec)
+        hits += got is not None
+    assert 0 < hits < 9 ** root.rankX

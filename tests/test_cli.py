@@ -63,9 +63,12 @@ def test_validate_malformed_json(capsys, tmp_path):
 def test_validate_missing_field(capsys, tmp_path):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"indices": ["1"], "dot": [[2]]}))
-    code, payload = run_cli(capsys, ["validate", "--datum", str(path)])
-    assert code == 2
-    assert "parity" in payload["error"]
+    for args in (["validate"], ["canonical"], ["character", "--lambda", "1"],
+                 ["verify"]):
+        code, payload = run_cli(capsys, args + ["--datum", str(path)])
+        assert code == 2, args
+        assert payload == {
+            "error": "datum file is missing the 'parity' field"}, args
 
 
 def _osp14_explicit():
@@ -420,6 +423,20 @@ def test_verify_unknown_suite_rejected():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--datum", "osp14", "--suite", "bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("suite,lam,message", [
+    ("clubsuit", "1,2,3,4", "--lambda needs 2 coordinates, got 4"),
+    ("rho-psi", "9999,0", "bracket term budget"),
+])
+def test_verify_checks_lambda_without_a_module_suite(capsys, suite, lam,
+                                                     message):
+    code, payload = run_cli(
+        capsys, ["verify", "--datum", "osp14", "--suite", suite,
+                 "--lambda", lam, "--height", "2"])
+    assert code == 2
+    assert set(payload) == {"error"}
+    assert message in payload["error"]
 
 
 def test_verify_lambda_flows_to_module(capsys):

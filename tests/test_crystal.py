@@ -1,17 +1,22 @@
 """Crystal lattice, string operators, canonical basis, twistor reports."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from covquant.catalog import catalog_datum
 from covquant.crystal import (
+    _SIGN_UNITS,
+    _TWIST_UNITS,
     Crystal,
+    _match_unit,
     e_tilde,
     f_tilde,
     gamma_coefficient,
     string_decompose,
 )
 from covquant.halfqg import QuotientContext
-from covquant.scalars import PS_ONE, PS_PI, PiScalar
+from covquant.scalars import PS_ONE, PS_PI, GaussianRational, PiScalar
 
 
 @pytest.fixture(scope="module")
@@ -272,3 +277,114 @@ def test_twistor_string_exponent(osp14_ctx, osp14_cr3):
                 e = (ctx.tf.phi(ni, nu) - n * n * d_i) % 4
                 want = ctx.free.twistor(x_n).scale(PiScalar.t_power(e))
                 assert ctx.equal_in_f(dec_img.part(n), want), (el.label, i, n)
+
+
+# --- the unit matcher --------------------------------------------------------
+
+
+def G(re, im=0):
+    return GaussianRational(re, im)
+
+
+def _proportional_unit_oracle(v0, w0):
+    """(s_plus, s_minus) in {±1}^2 with v0 = s·w0, else None."""
+    out = []
+    for a, b in zip(v0, w0):
+        s = None
+        for x, y in zip(a, b):
+            if bool(x) != bool(y):
+                return None
+            if x:
+                r = x / y
+                if r != G(1) and r != G(-1):
+                    return None
+                if s is None:
+                    s = r
+                elif r != s:
+                    return None
+        out.append(s if s is not None else G(1))
+    return tuple(out)
+
+
+def _twist_unit_oracle(v0, candidates):
+    """(a, b, element) with v0 = t^a pi^b · element.v0, else None."""
+    for target in candidates:
+        for a in range(4):
+            ta = G(0, 1) ** a
+            for b in range(2):
+                tb = ta * (-1 if b else 1)
+                if (tuple(g * ta for g in target.v0[0]) == v0[0]
+                        and tuple(g * tb for g in target.v0[1]) == v0[1]):
+                    return a, b, target
+    return None
+
+
+# residue pairs: generic, and each with one all-zero pi-component
+_RESIDUES = [
+    ((G(1), G(0), G(-2)), (G(0, 1), G(3), G(0))),
+    ((G(0), G(0), G(0)), (G(1), G(2, -1), G(0))),
+    ((G(1), G(0), G(1, 1)), (G(0), G(0), G(0))),
+]
+
+
+def _times(unit, w0):
+    return tuple(tuple(g * u for g in side) for side, u in zip(w0, unit))
+
+
+def _check_against_oracles(v0, candidates):
+    got = _match_unit(v0, candidates, _SIGN_UNITS)
+    want = next(((el, s) for el in candidates
+                 for s in [_proportional_unit_oracle(v0, el.v0)]
+                 if s is not None), None)
+    if want is None:
+        assert got is None
+    else:
+        assert got[1] is want[0]
+        assert tuple(G(s) for s in got[0]) == want[1]
+    got = _match_unit(v0, candidates, _TWIST_UNITS)
+    want = _twist_unit_oracle(v0, candidates)
+    if want is None:
+        assert got is None
+    else:
+        assert got[0] == want[:2] and got[1] is want[2]
+    return got
+
+
+@pytest.mark.parametrize("w0", _RESIDUES)
+def test_match_unit_agrees_with_both_old_searches(w0):
+    el = SimpleNamespace(v0=w0)
+    decoy = SimpleNamespace(v0=_times((G(2), G(2)), w0))
+    for s in (1, -1):
+        for r in (1, -1):
+            v0 = _times((G(s), G(r)), w0)
+            assert _match_unit(v0, [decoy, el], _SIGN_UNITS)[1] is el
+            _check_against_oracles(v0, [decoy, el])
+    for a in range(4):
+        for b in range(2):
+            v0 = _times((G(0, 1) ** a, G(0, 1) ** a * (-1) ** b), w0)
+            (ga, gb), target = _check_against_oracles(v0, [decoy, el])
+            assert target is el
+            # an all-zero component leaves part of the unit open: the
+            # first match in search order is reported
+            if any(w0[0]) and any(w0[1]):
+                assert (ga, gb) == (a, b)
+    # near misses: t on one component only, and a non-unit multiple
+    for unit in [(G(0, 1), G(1)), (G(1), G(0, 1)), (G(2), G(1))]:
+        v0 = _times(unit, w0)
+        if v0 != w0 and v0 != _times((G(-1), G(-1)), w0):
+            _check_against_oracles(v0, [el])
+
+
+def test_match_unit_tells_t_from_pi():
+    w0 = _RESIDUES[0]
+    el = SimpleNamespace(v0=w0)
+    t_w0 = _times((G(0, 1), G(0, 1)), w0)
+    pi_w0 = _times((G(1), G(-1)), w0)
+    assert _match_unit(t_w0, [el], _TWIST_UNITS)[0] == (1, 0)
+    assert _match_unit(pi_w0, [el], _TWIST_UNITS)[0] == (0, 1)
+    assert _match_unit(t_w0, [SimpleNamespace(v0=pi_w0)],
+                       _TWIST_UNITS)[0] == (1, 1)
+    assert _match_unit(t_w0, [el], _SIGN_UNITS) is None
+    assert _match_unit(pi_w0, [el], _SIGN_UNITS)[0] == (1, -1)
+    # t at pi = +1 with 1 at pi = -1 is no t^a pi^b
+    assert _check_against_oracles(_times((G(0, 1), G(1)), w0), [el]) is None

@@ -15,6 +15,7 @@ from covquant.freealg import (
     word_parity,
     word_weight,
 )
+from covquant.linalg import RF_ONE, RF_ZERO
 from covquant.scalars import PS_ONE, PS_ZERO, PiScalar, qfactorial
 
 from oracles import lp_pair_matches_pi_expr, pair_words_oracle
@@ -56,6 +57,85 @@ def test_free_element_drops_zeros(osp14):
     x = F.theta(0) - F.theta(0)
     assert x.is_zero()
     assert FreeElement({(0,): PS_ZERO}).is_zero()
+
+
+# A coefficient may vanish at one sign of pi and not the other; a product
+# of the two kinds is zero and must not be stored.
+_ONLY_PLUS = PiScalar(RF_ONE, RF_ZERO)
+_ONLY_MINUS = PiScalar(RF_ZERO, RF_ONE)
+
+
+def _accumulate(pairs):
+    """Sum the coefficients of repeated words and drop zeros, by hand: the
+    oracle for FreeElement's own accumulation."""
+    out = {}
+    for w, c in pairs:
+        s = out.get(w)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(w, None)
+        else:
+            out[w] = s
+    return out
+
+
+def test_mul_cancels_across_term_pairs(osp14):
+    _, F = osp14
+    t0, t1 = F.theta(0), F.theta(1)
+    x = t0 + F.mul(t0, t1)
+    y = F.mul(t1, t0) - t0
+    # theta0 * theta1theta0 and theta0theta1 * (-theta0) cancel
+    got = F.mul(x, y)
+    assert (0, 1, 0) not in got.terms
+    assert got.terms == {(0, 0): -PS_ONE, (0, 1, 1, 0): PS_ONE}
+
+
+def _half_zero_element(F, rng):
+    x = random_element(F, rng, nterms=4)
+    return FreeElement({w: c * rng.choice([PS_ONE, _ONLY_PLUS, _ONLY_MINUS])
+                        for w, c in x.terms.items()})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_operations_store_no_zero_coefficient(osp14, seed):
+    _, F = osp14
+    rng = random.Random(seed)
+    x, y = _half_zero_element(F, rng), _half_zero_element(F, rng)
+    pairs = [(w1, c1, w2, c2) for w1, c1 in x.terms.items()
+             for w2, c2 in y.terms.items()]
+    cases = {
+        "add": (x + y, [*x.terms.items(), *y.terms.items()]),
+        "sub": (x - y, [*x.terms.items(),
+                        *((w, -c) for w, c in y.terms.items())]),
+        "scale": (x.scale(_ONLY_MINUS),
+                  [(w, c * _ONLY_MINUS) for w, c in x.terms.items()]),
+        "mul": (F.mul(x, y), [(w1 + w2, c1 * c2)
+                              for w1, c1, w2, c2 in pairs]),
+        "star_mul": (F.star_mul(x, y), [
+            (w1 + w2, c1 * c2 * PiScalar.t_power(F.tf.phi(
+                word_weight(w1, F.rank), word_weight(w2, F.rank))))
+            for w1, c1, w2, c2 in pairs]),
+        "e_prime": (F.e_prime(0, x), [
+            (rest, c * s) for w, c in x.terms.items()
+            for rest, s in F.eprime_word(0, w).items()]),
+        "rho": (F.rho(x), [(w[::-1], c) for w, c in x.terms.items()]),
+        "bar": (F.bar(x), [(w, c.bar()) for w, c in x.terms.items()]),
+        "twistor": (F.twistor(x), [
+            (w, c.twist() * PiScalar.t_power(F.word_twist_exponent(w)))
+            for w, c in x.terms.items()]),
+        "twistor_inv": (F.twistor_inv(x), [
+            (w, c.twist_inv() * PiScalar.t_power(-F.word_twist_exponent(w)))
+            for w, c in x.terms.items()]),
+    }
+    for name, (got, terms) in cases.items():
+        assert got.terms == _accumulate(terms), name
+        assert all(not c.is_zero() for c in got.terms.values()), name
+    # a coefficient with one zero component is kept
+    assert F.mul(x, F.one().scale(_ONLY_PLUS)).terms == _accumulate(
+        (w, c * _ONLY_PLUS) for w, c in x.terms.items())
+    assert FreeElement({(0,): _ONLY_PLUS}).terms == {(0,): _ONLY_PLUS}
+    assert F.mul(FreeElement({(0,): _ONLY_PLUS}),
+                 FreeElement({(1,): _ONLY_MINUS})).is_zero()
 
 
 def test_homogeneous_weight(osp14):

@@ -1,12 +1,13 @@
 """Quotient context: Gram matrices, radical, Serre elements, twistor checks."""
 
+import itertools
 import json
 import random
 
 import pytest
 import sympy
 
-from covquant import kernels
+from covquant import halfqg, kernels
 from covquant.catalog import all_catalog_names, catalog_datum, finite_catalog_names
 from covquant.cli import main
 from covquant.freealg import FreeElement, render_element
@@ -360,6 +361,24 @@ def test_rho_psi_monomials(osp14_ctx):
         n = rng.randrange(1, 6)
         w = tuple(rng.randrange(2) for _ in range(n))
         assert ctx.verify_rho_psi(F.monomial(w)), w
+
+
+def test_rho_psi_sign_flip_fails(osp14_ctx, monkeypatch):
+    # negative control: with the sign exponent off by one the identity
+    # reads rho(x) = -rho(x), which fails exactly where x is nonzero in f
+    ctx = osp14_ctx
+    exact = halfqg.stats_p
+    monkeypatch.setattr(halfqg, "stats_p", lambda d, nu: exact(d, nu) + 1)
+    nonzero = 0
+    for h in range(1, 4):
+        for w in itertools.product(range(2), repeat=h):
+            x = ctx.free.monomial(w)
+            if not ctx.is_zero_in_f(x):
+                nonzero += 1
+                assert not ctx.verify_rho_psi(x), w
+    assert nonzero > 6
+    monkeypatch.undo()
+    assert ctx.verify_rho_psi(ctx.free.monomial((0, 1, 0)))
 
 
 # --- radical stability ------------------------------------------------------------

@@ -296,6 +296,20 @@ def test_chi_diagram_on_generators(mod14):
         assert verify_chi_diagram(mod14, fa.theta(i))
 
 
+def test_chi_diagram_shifted_lowering_exponent_fails(mod14, monkeypatch):
+    # negative control: one extra t on every dressed lowering letter
+    exact = umod._chi_lower_exponent
+
+    def shifted(module):
+        fn = exact(module)
+        return lambda kind, i, mu: fn(kind, i, mu) + 1
+
+    monkeypatch.setattr(umod, "_chi_lower_exponent", shifted)
+    fa = mod14.ctx.free
+    for i in range(2):
+        assert not verify_chi_diagram(mod14, fa.theta(i))
+
+
 def test_chi_diagram_monomials(mod14):
     rep = chi_suite(mod14, 3)
     assert rep["pass"]
