@@ -12,7 +12,7 @@ mod vL is invisible there.
 """
 
 from .freealg import FreeElement
-from .linalg import RF_ZERO, identity, reduce, rref, solve
+from .linalg import RF_ZERO, identity, solve
 from .scalars import (
     GaussianRational,
     LaurentPoly,
@@ -309,14 +309,12 @@ class Crystal:
             if match is not None:
                 self._record_edge(label, match[1].label, nu)
                 continue
-            if any(self._dependent_on(v0, bucket, side) for side in (0, 1)):
-                raise ArithmeticError(
-                    f"crystal candidate at weight {nu} is dependent on "
-                    "earlier classes without being a signed multiple of one")
             el = self._canonicalized(label, nu, pivot_words, coords, v0)
             self._record_edge(label, el.label, nu)
             bucket.append(el)
             self.elements.append(el)
+        # every candidate is a unit times a class, so the classes span L/vL
+        # in each component: they are independent iff they number the rank
         if len(bucket) != len(echelon[1]):
             raise ArithmeticError(
                 f"crystal class count {len(bucket)} differs from the "
@@ -334,15 +332,6 @@ class Crystal:
         if self._up.setdefault(key, parent) != parent:
             raise ArithmeticError(
                 f"two crystal classes share an f_tilde image at weight {nu}")
-
-    @staticmethod
-    def _dependent_on(v0, bucket, side):
-        """Is one pi-component of the residue vector in the span of the
-        bucket's?  The classes must stay independent in each component
-        separately, or they fail to be a basis at that specialization."""
-        rows, pivots = rref([other.v0[side] for other in bucket],
-                            len(v0[side]))
-        return not any(reduce(rows, pivots, list(v0[side])))
 
     def _canonicalized(self, label, nu, pivot_words, coords, v0):
         sign = 1

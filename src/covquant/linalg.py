@@ -1,10 +1,9 @@
 """Exact dense linear algebra over the per-component scalar field.
 
 Matrices are lists of lists of RationalFn (one pi-component at a time);
-rref and reduce also take GaussianRational entries (the crystal's residue
-vectors at v = 0).  Sizes at desk scale are small, so plain
-fraction-arithmetic Gaussian elimination with first-nonzero pivoting is
-fine and keeps pivot choices deterministic.
+rref and reduce also take GaussianRational entries.  Sizes at desk scale
+are small, so plain fraction-arithmetic Gaussian elimination with
+first-nonzero pivoting is fine and keeps pivot choices deterministic.
 """
 
 from .scalars import LaurentPoly, RationalFn
@@ -81,17 +80,18 @@ def reduce(rows, pivots, vec):
 
 
 def kernel(a, ncols):
-    """Basis of the right null space of a (rows may outnumber columns)."""
-    work = [list(r) for r in a]
-    pivots = _eliminate(work, ncols)
-    pivot_cols = {c for _, c in pivots}
+    """Right null space of a as (basis, leads, pivots): pivots are a's pivot
+    columns, leads the others, and each basis vector is 1 at its own lead
+    and 0 at the other leads, so reduce(basis, leads, v) lands on pivots."""
+    rows, pivots = rref(a, ncols)
+    hit = set(pivots)
+    leads = [c for c in range(ncols) if c not in hit]
     basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
+    for lead in leads:
         vec = [RF_ZERO] * ncols
-        vec[free] = RF_ONE
-        for r, c in pivots:
-            vec[c] = -work[r][free]
+        vec[lead] = RF_ONE
+        for row, c in zip(rows, pivots):
+            if row[lead]:
+                vec[c] = -row[lead]
         basis.append(vec)
-    return basis
+    return basis, leads, pivots

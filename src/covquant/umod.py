@@ -7,12 +7,14 @@ by the joint kernel of every raising word.  The raising action is unrolled
 from the commutator recursion, lowering is left concatenation, and the
 grouplike generators act diagonally.
 
-Each pi-component is built separately.  The raising and lowering
-matrices on pivot words are computed in integer Laurent arithmetic from
-the quotient context's class-coordinate tables, and the raising images
-are checked on the relation ideal there; they become RationalFn matrices
-only for the field elimination of linalg that cuts out the kernels and
-quotients.
+The module is built in one pass over the weights in height order.  The
+raising and lowering matrices on pivot words are computed in integer
+Laurent arithmetic from the class-coordinate tables, and the raising
+images are checked on the relation ideal there.  As RationalFn columns,
+each is reduced once modulo the kernel at its target; one linalg.kernel
+call on the stacked raising columns gives the kernel at a weight, whose
+pivot columns name the quotient basis, and the quotient operators are
+slices of the reduced columns.
 
 On top of the bare module the suites here dress the generators with
 t-power tables and check, block by block, that the dressed operators
@@ -61,15 +63,32 @@ def _removals(word, i, datum):
     return out
 
 
-def _field_matrix(den, rows):
+def _field_matrix(den, vecs):
     """Integer Laurent numerators over a common denominator -> RationalFn
-    rows for the field elimination."""
+    vectors for the field elimination."""
     if den == kernels.LP_ONE:
-        return [[lp_to_ratfn(a) if a[1] else RF_ZERO for a in row]
-                for row in rows]
+        return [[lp_to_ratfn(a) if a[1] else RF_ZERO for a in vec]
+                for vec in vecs]
     d = lp_to_ratfn(den)
-    return [[lp_to_ratfn(a) / d if a[1] else RF_ZERO for a in row]
-            for row in rows]
+    return [[lp_to_ratfn(a) / d if a[1] else RF_ZERO for a in vec]
+            for vec in vecs]
+
+
+def _reduced(den, vecs, kern):
+    """Integer Laurent columns over den as RationalFn columns, each reduced
+    modulo the target kernel kern and read at its quotient pivots."""
+    basis, leads, pivots = kern
+    out = []
+    for col in _field_matrix(den, vecs):
+        col = linalg.reduce(basis, leads, col)
+        out.append([col[r] for r in pivots])
+    return out
+
+
+def _project(cols, src, nrows):
+    """The quotient operator: the reduced columns at the source's quotient
+    pivots src, as an nrows x len(src) matrix."""
+    return [[cols[c][r] for c in src] for r in range(nrows)]
 
 
 def _mul(a, b, ncols):
@@ -164,52 +183,54 @@ class WeightModule:
         self._bracket_lps = {}
         self._serre = {}
         self._products = {}
-        self._e_pivot = {}
-        self._f_pivot = {}
-        for nu in self.weights:
-            self._build_pivot_ops(nu)
-
-        self._nrows = {}
-        self._npiv = {}
-        self._free = {}
-        self._basis = {}
-        for sign in SIGNS:
-            for nu in self.weights:
-                self._build_kernel(sign, nu)
-
+        self._kernels = {}
         self._eop = {}
         self._fop = {}
-        for sign in SIGNS:
-            for nu in self.weights:
-                self._build_quotient_ops(sign, nu)
+        for nu in self.weights:
+            self._build_weight(nu)
 
     # -- construction ------------------------------------------------
 
-    def _build_pivot_ops(self, nu):
-        """Raising and lowering matrices on the pivot words of nu, one
-        RationalFn matrix per sign, from integer class coordinates."""
+    def _build_weight(self, nu):
+        """N(lam)_nu, the quotient basis and every generator matrix between
+        nu and a block nu - i, which height order has already built, for
+        both signs.  The raising columns out of nu and the lowering
+        columns into nu are each reduced once, modulo the target kernel;
+        the lowering ones must kill N(lam)_(nu - i)."""
         ctx = self.ctx
-        rank = self.datum.rank
         pw = ctx.pivots(nu)
-        for i in range(rank):
+        down = {}
+        for i in range(self.datum.rank):
             if nu[i]:
-                imgs, tgt = self._raising_images(i, nu)
+                imgs, low = self._raising_images(i, nu)
                 self._check_raising_on_radical(i, nu, imgs)
-                m = ctx.dimension(tgt)
-                for sign in SIGNS:
-                    den = ctx.class_coords(tgt)[sign][0]
-                    img = imgs[sign]
-                    self._e_pivot[(sign, i, nu)] = _field_matrix(
-                        den, [[img[w][r] for w in pw] for r in range(m)])
-        if height(nu) < self.hmax:
-            for i in range(rank):
-                tgt = weight_add(nu, unit_weight(rank, i))
-                m = ctx.dimension(tgt)
-                for sign in SIGNS:
-                    den, table = ctx.class_coords(tgt)[sign]
-                    self._f_pivot[(sign, i, nu)] = _field_matrix(
-                        den, [[table[(i,) + w][r] for w in pw]
-                              for r in range(m)])
+                down[i] = (imgs, low)
+        for sign in SIGNS:
+            raising = {}
+            stacked = []
+            for i, (imgs, low) in down.items():
+                raising[i] = _reduced(ctx.class_coords(low)[sign][0],
+                                      [imgs[sign][w] for w in pw],
+                                      self._kernels[(sign, low)])
+                stacked.extend(zip(*raising[i]))
+            kern = linalg.kernel(stacked, len(pw)) if down \
+                else ([], [], list(range(len(pw))))
+            self._kernels[(sign, nu)] = kern
+            piv = kern[2]
+            den, table = ctx.class_coords(nu)[sign]
+            for i, (_, low) in down.items():
+                lbasis, _, lpiv = self._kernels[(sign, low)]
+                self._eop[(sign, i, nu)] = _project(raising[i], piv,
+                                                    len(lpiv))
+                lowering = _reduced(
+                    den, [table[(i,) + w] for w in ctx.pivots(low)], kern)
+                if not _is_zero(_mul(lbasis, lowering, len(piv))):
+                    raise ArithmeticError(
+                        "lowering action escapes the raising kernel at "
+                        f"weight {low} (generator "
+                        f"{self.datum.indices[i]}, pi={sign:+d})")
+                self._fop[(sign, i, low)] = _project(lowering, lpiv,
+                                                     len(piv))
 
     def bracket(self, n, d, twisted=False):
         """The commutator scalar qinteger_signed(n, d), twisted when asked;
@@ -295,88 +316,24 @@ class WeightModule:
                     f"ideal at weight {nu} (generator "
                     f"{self.datum.indices[i]}, pi={sign:+d})")
 
-    def _build_kernel(self, sign, nu):
-        ctx = self.ctx
-        n = ctx.dimension(nu)
-        key = (sign, nu)
-        if height(nu) == 0:
-            self._nrows[key], self._npiv[key] = [], []
-            self._free[key] = list(range(n))
-        else:
-            stacked = []
-            rank = self.datum.rank
-            for i in range(rank):
-                if not nu[i]:
-                    continue
-                tgt = weight_sub(nu, unit_weight(rank, i))
-                trows = self._nrows[(sign, tgt)]
-                tpiv = self._npiv[(sign, tgt)]
-                mat = self._e_pivot[(sign, i, nu)]
-                m = len(mat)
-                cols = []
-                for cidx in range(n):
-                    col = [mat[r][cidx] for r in range(m)]
-                    cols.append(linalg.reduce(trows, tpiv, col))
-                stacked.extend(
-                    [cols[cidx][r] for cidx in range(n)] for r in range(m))
-            null = linalg.kernel(stacked, n)
-            self._nrows[key], self._npiv[key] = linalg.rref(null, n)
-            hit = set(self._npiv[key])
-            self._free[key] = [c for c in range(n) if c not in hit]
-        pw = ctx.pivots(nu)
-        self._basis[key] = [pw[c] for c in self._free[key]]
-
-    def _project_op(self, pivot_mat, sign, free_src, tgt):
-        trows = self._nrows[(sign, tgt)]
-        tpiv = self._npiv[(sign, tgt)]
-        tfree = self._free[(sign, tgt)]
-        m = len(pivot_mat)
-        cols = []
-        for c in free_src:
-            col = [pivot_mat[r][c] for r in range(m)]
-            col = linalg.reduce(trows, tpiv, col)
-            cols.append([col[r] for r in tfree])
-        return [[cols[ci][r] for ci in range(len(free_src))]
-                for r in range(len(tfree))]
-
-    def _build_quotient_ops(self, sign, nu):
-        rank = self.datum.rank
-        free_src = self._free[(sign, nu)]
-        for i in range(rank):
-            if nu[i]:
-                tgt = weight_sub(nu, unit_weight(rank, i))
-                self._eop[(sign, i, nu)] = self._project_op(
-                    self._e_pivot[(sign, i, nu)], sign, free_src, tgt)
-            if height(nu) < self.hmax:
-                tgt = weight_add(nu, unit_weight(rank, i))
-                mat = self._f_pivot[(sign, i, nu)]
-                trows = self._nrows[(sign, tgt)]
-                tpiv = self._npiv[(sign, tgt)]
-                cols = [[row[t] for row in mat]
-                        for t in range(self.ctx.dimension(nu))]
-                for img in _mul(self._nrows[(sign, nu)], cols, len(mat)):
-                    if any(linalg.reduce(trows, tpiv, img)):
-                        raise ArithmeticError(
-                            "lowering action escapes the raising kernel at "
-                            f"weight {nu} (generator "
-                            f"{self.datum.indices[i]}, pi={sign:+d})")
-                self._fop[(sign, i, nu)] = self._project_op(
-                    mat, sign, free_src, tgt)
-
     # -- basic queries -----------------------------------------------
 
-    def dimension(self, nu, sign):
-        key = (sign, tuple(nu))
-        if key not in self._free:
+    def _kernel(self, nu, sign):
+        got = self._kernels.get((sign, tuple(nu)))
+        if got is None:
             raise ValueError(f"weight {nu} is outside the truncation window")
-        return len(self._free[key])
+        return got
+
+    def dimension(self, nu, sign):
+        return len(self._kernel(nu, sign)[2])
 
     def space(self, nu, sign):
-        """Basis of the block at depth nu: surviving pivot words."""
-        key = (sign, tuple(nu))
-        if key not in self._basis:
-            raise ValueError(f"weight {nu} is outside the truncation window")
-        return list(self._basis[key])
+        """Basis of the block at depth nu: the pivot words at the pivot
+        columns of the stacked raising matrix, i.e. those whose raising
+        images are independent of the images of the words before them."""
+        piv = self._kernel(nu, sign)[2]
+        pw = self.ctx.pivots(tuple(nu))
+        return [pw[c] for c in piv]
 
     def block_weight(self, nu):
         return weight_sub(self.lam, self.root.weight_in_X(nu))

@@ -142,6 +142,19 @@ def test_lattice_membership_controls(osp14_ctx, osp14_cr4):
     assert osp14_cr4.lattice_coords(F.divided_power(0, 2), (2, 0)) is not None
 
 
+def test_dependent_candidates_break_the_class_count(osp14_ctx, osp14_cr3):
+    # negative control: b1 + b2 is no unit multiple of either class, so
+    # it is kept as a third class in a rank-2 lattice and the count check
+    # must catch the dependency
+    b1, b2 = (el.rep for el in osp14_cr3.of_weight((1, 1)))
+    assert len(Crystal(osp14_ctx, 1)._process_weight(
+        (1, 1), [((), b1), ((), b2)])) == 2
+    with pytest.raises(ArithmeticError, match="class count 3 differs from "
+                       "the lattice rank 2"):
+        Crystal(osp14_ctx, 1)._process_weight(
+            (1, 1), [((), b1), ((), b2), ((), b1 + b2)])
+
+
 def test_generation_is_deterministic(osp14_ctx):
     a = Crystal(osp14_ctx, 3)
     b = Crystal(osp14_ctx, 3)

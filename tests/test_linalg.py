@@ -1,5 +1,5 @@
-"""linalg.rref and linalg.reduce over both scalar fields the package uses:
-GaussianRational (the crystal's residues at v = 0) and RationalFn."""
+"""linalg.rref and linalg.reduce over both scalar fields they take,
+GaussianRational and RationalFn, and linalg.kernel's reduction data."""
 
 from fractions import Fraction
 
@@ -58,3 +58,40 @@ def test_reduce_against_empty_rref_is_identity(vec):
     ech, pivots = linalg.rref([], len(vec))
     assert (ech, pivots) == ([], [])
     assert linalg.reduce(ech, pivots, list(vec)) == vec
+
+
+def _ratfn(vec):
+    return [x if isinstance(x, RationalFn) else RationalFn(x) for x in vec]
+
+
+def _dot(row, vec):
+    acc = RationalFn(0)
+    for x, y in zip(row, vec):
+        acc = acc + x * y
+    return acc
+
+
+@pytest.mark.parametrize("case", [_gaussian_case, _ratfn_case],
+                         ids=["gaussian", "ratfn"])
+def test_kernel_is_reduction_data(case):
+    rows, inside, outside = case()
+    a = [_ratfn(row) for row in rows]
+    basis, leads, pivots = linalg.kernel(a, 4)
+    assert sorted(leads + pivots) == [0, 1, 2, 3]
+    assert len(basis) == len(leads) == 4 - 2
+    for k, lead in zip(basis, leads):
+        assert all(_dot(row, k) == 0 for row in a)
+        assert [k[c] for c in leads] == [1 if c == lead else 0
+                                         for c in leads]
+    for vec in (inside, outside, [ONE, V, ONE, V]):
+        vec = _ratfn(vec)
+        red = linalg.reduce(basis, leads, vec)
+        assert not any(red[c] for c in leads)
+        # v - red lies in the null space
+        assert all(_dot(row, vec) == _dot(row, red) for row in a)
+
+
+def test_kernel_of_no_rows_is_identity():
+    basis, leads, pivots = linalg.kernel([], 3)
+    assert basis == [[1 if r == c else 0 for c in range(3)] for r in range(3)]
+    assert (leads, pivots) == ([0, 1, 2], [])

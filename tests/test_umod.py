@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from covquant import umod
+from covquant import linalg, umod
 from covquant.cartan import height, unit_weight, weight_sub, weight_zero
 from covquant.catalog import catalog_datum, finite_catalog_names
 from covquant.halfqg import QuotientContext
@@ -348,6 +348,40 @@ def test_raising_check_rejects_images_off_the_ideal():
         with pytest.raises(ArithmeticError,
                            match=re.escape(f"pi={sign:+d})")):
             module._check_raising_on_radical(i, nu, bad)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lowering_check_rejects_images_off_the_kernel(sign):
+    # negative control for the lowering-escape check: row 0 of the class
+    # of every lowering image theta_2 w, w a pivot word at (3, 0), moved
+    # by 1
+    ctx = QuotientContext(*catalog_datum("osp14"))
+    _, table = ctx.class_coords((3, 1))[sign]
+    for w in ctx.pivots((3, 0)):
+        coords = table[(1,) + w]
+        table[(1,) + w] = (umod.kernels.lp_add(
+            coords[0], umod.kernels.LP_ONE),) + coords[1:]
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "lowering action escapes the raising kernel at weight (3, 0) "
+            f"(generator 2, pi={sign:+d})")):
+        build_module(ctx, (2, 0), 4)
+
+
+def test_build_eliminates_once_per_sign_and_weight(monkeypatch):
+    # the kernel at each weight of positive height comes from a single
+    # elimination per sign, which also names the quotient basis
+    ctx = QuotientContext(*catalog_datum("osp14"))
+    build_module(ctx, (1, 1), 4)
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(mat, ncols):
+        calls.append(ncols)
+        return eliminate(mat, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    m = build_module(ctx, (1, 1), 4)
+    assert len(calls) == 2 * sum(height(nu) > 0 for nu in m.weights)
 
 
 # --- memoized word products ---------------------------------------------
