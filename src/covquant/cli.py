@@ -6,18 +6,20 @@ verification suites.  Output is deterministic byte for byte: fixed
 orderings, sorted keys, no timestamps, and every payload embeds the hash
 of the normalized datum.  Exit codes: 0 all good, 1 a verification (or
 datum-condition) failure, 2 malformed input.
+
+umod and crystal are imported inside the commands that use them, so a
+run loads, and on a cold start compiles, only what it needs.
 """
 
 import argparse
 import json
 import os
+import sys
 from itertools import product
 
-from . import umod
 from .cartan import SuperCartanDatum, TransversalError, datum_from_dict, \
     datum_hash, height, normalized_datum_dict
 from .catalog import CATALOG
-from .crystal import Crystal
 from .freealg import render_word
 from .halfqg import GramCacheError, QuotientContext
 from .scalars import PS_ONE, SIGNS, render_scalar
@@ -172,6 +174,7 @@ def _element_text(datum, x):
 
 
 def cmd_canonical(cfg):
+    from .crystal import Crystal
     _check_height(cfg)
     ctx = _load_context(cfg)
     crystal = Crystal(ctx, cfg.height)
@@ -189,6 +192,7 @@ def cmd_canonical(cfg):
 
 
 def cmd_character(cfg):
+    from . import umod
     _check_height(cfg)
     ctx = _load_context(cfg)
     lam = _resolve_lambda(cfg, ctx, required=True)
@@ -230,6 +234,7 @@ def _suite_rho_psi(ctx, cfg):
 
 
 def _suite_lattice(ctx, cfg):
+    from .crystal import Crystal
     crystal = Crystal(ctx, cfg.height)
     psi = crystal.verify_psi_lattice()
     rho = crystal.verify_rho_lattice()
@@ -237,11 +242,13 @@ def _suite_lattice(ctx, cfg):
 
 
 def _suite_clubsuit(ctx, cfg):
+    from . import umod
     rep = umod.clubsuit_report(ctx)
     return {"suite": "clubsuit", **rep}
 
 
 def cmd_verify(cfg):
+    from . import umod
     _check_height(cfg)
     if cfg.suite != "all" and cfg.suite not in SUITES:
         raise InputError(f"unknown suite '{cfg.suite}'")
@@ -331,8 +338,23 @@ def _build_parser():
     return p
 
 
+def _attach_negative_lambda(argv):
+    """Glue a value that starts with a minus sign to the --lambda before
+    it: argparse would read "-1,0" as an unknown option, while
+    "--lambda=-1,0" already parses.  Abbreviations of --lambda count."""
+    out = []
+    for arg in argv:
+        if (out and len(out[-1]) > 2 and "--lambda".startswith(out[-1])
+                and arg[:1] == "-" and arg[1:2].isdigit()):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    cfg = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    cfg = _build_parser().parse_args(_attach_negative_lambda(argv))
     try:
         if cfg.lam is not None:
             cfg.lam = _parse_lambda(cfg.lam)

@@ -108,7 +108,7 @@ def _bad_part(x):
         k = x.valuation()
         if k > 0:
             break
-        c = x.num.coeffs[k] / x.den.coeffs[0]
+        c = x.num.coeff(k) / x.den.coeff(0)
         out[k] = c
         x = x - RationalFn(LaurentPoly.monomial(c, k))
     return LaurentPoly(out)
@@ -121,11 +121,13 @@ def _bar_complete(bad, sign):
     on the minus component bar sends v to -1/v, so v^-k pairs with
     (-1)^k v^k.  The constant term is its own partner either way.
     """
-    coeffs = dict(bad.coeffs)
-    for k, c in bad.coeffs.items():
-        if k < 0:
-            coeffs[-k] = c if sign == 1 or k % 2 == 0 else -c
-    return LaurentPoly(coeffs)
+    def complete(part):
+        out = dict(part)
+        for k, c in part.items():
+            if k < 0:
+                out[-k] = c if sign == 1 or k % 2 == 0 else -c
+        return out
+    return LaurentPoly.from_maps(complete(bad.re), complete(bad.im))
 
 
 def _positive(g):

@@ -5,11 +5,13 @@ list).  Elements map words to PiScalar coefficients; zero coefficients
 are never stored.  All operations are pure; the pairing accepts an
 external memo dict so a quotient context can own the cache, and works
 per pi-component on integer Laurent polynomials (kernel tuples).
+FreeAlgebra memoizes divided powers and single-word derivations, so the
+elements and dicts they return are shared: nothing may mutate them.
 """
 
 from . import kernels
 from .cartan import weight_add
-from .scalars import PS_ONE, PS_ZERO, PiScalar, lp_to_ratfn
+from .scalars import PS_ONE, PS_ZERO, PiScalar, lp_to_ratfn, qfactorial
 
 _PAIR_ZERO = (kernels.LP_ZERO, kernels.LP_ZERO)
 _PAIR_ONE = (kernels.lp_const(1), kernels.lp_const(1))
@@ -111,6 +113,8 @@ class FreeAlgebra:
         self.datum = datum
         self.tf = twist_form
         self.rank = datum.rank
+        self._divided_powers = {}
+        self._eprime_words = {}
 
     # --- constructors ---------------------------------------------------
 
@@ -149,17 +153,24 @@ class FreeAlgebra:
 
     def divided_power(self, k, n):
         """theta_k^n / <n>!_{v_k, pi_k}."""
-        from .scalars import qfactorial
-        fact = qfactorial(n, self.datum.d(k))
-        if not fact.plus or not fact.minus:
-            raise ArithmeticError("quantum factorial has a zero component")
-        return FreeElement({(k,) * n: PS_ONE / fact})
+        hit = self._divided_powers.get((k, n))
+        if hit is None:
+            fact = qfactorial(n, self.datum.d(k))
+            if not fact.plus or not fact.minus:
+                raise ArithmeticError(
+                    "quantum factorial has a zero component")
+            hit = FreeElement({(k,) * n: PS_ONE / fact})
+            self._divided_powers[k, n] = hit
+        return hit
 
     # --- the derivation and the bilinear form ------------------------------
 
     def eprime_word(self, k, word):
         """e_k' of a single word as {word: PiScalar}; removes one
         occurrence of k with the accumulated commutation factor."""
+        hit = self._eprime_words.get((k, word))
+        if hit is not None:
+            return hit
         dot = self.datum.dot
         par = self.datum.parity
         out = {}
@@ -173,6 +184,7 @@ class FreeAlgebra:
                 out[rest] = c if s is None else s + c
             pi_exp += par[k] * par[letter]
             v_exp -= dot[k][letter]
+        self._eprime_words[k, word] = out
         return out
 
     def e_prime(self, k, x):

@@ -9,6 +9,18 @@ componentwise.
 No floating point is used anywhere.  A rational component is a Python int
 when it is integral and a fractions.Fraction only when it is not, so the
 Gaussian integers that make up almost every coefficient never touch Fraction.
+
+A LaurentPoly holds two component maps, re and im: exponent -> the real
+part and exponent -> the coefficient of t, in that normal form, with no
+zero entries.  A real polynomial has an empty im map, and every routine
+(sum, product, scaling, the substitutions, division and gcd) skips the
+imaginary work for it; GaussianRational is only the type of single values.
+
+RationalFn normalizes a genuine denominator once per distinct input: the
+result is kept in the module-level memo _NORMAL_FORMS, keyed by the exact
+component data (exponents and values, in map order) of num and den as
+given.  The memo holds at most _NORMAL_FORM_CAP entries, is emptied when
+it is full, and lives as long as the process.
 """
 
 from fractions import Fraction
@@ -118,20 +130,86 @@ G_ONE = GaussianRational(1)
 G_T = GaussianRational(0, 1)
 
 
-class LaurentPoly:
-    """Finite map exponent -> nonzero GaussianRational."""
+def _norm(d):
+    """Component map d without its zeros and with integral Fractions as
+    ints."""
+    return {e: x if type(x) is int else _exact(x) for e, x in d.items() if x}
 
-    __slots__ = ("coeffs",)
+
+def _combine(a, b, sign):
+    """a + sign*b for component maps in normal form (sign is +1 or -1).
+    May return a or b itself: component maps are never mutated."""
+    if not b:
+        return a
+    if not a and sign > 0:
+        return b
+    d = dict(a)
+    _accumulate(d, b, sign)
+    return d
+
+
+def _convolve(out, a, b, sign=1):
+    """out[e1 + e2] += sign * a[e1] * b[e2], leaving zeros and integral
+    Fractions in out for _norm."""
+    get = out.get
+    for e1, x in a.items():
+        if sign < 0:
+            x = -x
+        for e2, y in b.items():
+            e = e1 + e2
+            p = x * y
+            s = get(e)
+            out[e] = p if s is None else s + p
+
+
+def _accumulate(d, src, c=1, k=0):
+    """d[e + k] += c * src[e] in place, keeping d in normal form."""
+    get = d.get
+    unit = c == 1
+    for e, x in src.items():
+        e += k
+        y = x if unit else c * x
+        s = get(e)
+        s = y if s is None else s + y
+        if not s:
+            del d[e]
+        elif type(s) is int or s.denominator != 1:
+            d[e] = s
+        else:
+            d[e] = s.numerator
+
+
+class LaurentPoly:
+    """Finite Laurent polynomial over Q(t), stored as two component maps:
+    exponent -> real part and exponent -> imaginary part (the coefficient
+    of t).  Values are ints when integral and Fractions otherwise, and no
+    zero is stored, so a real polynomial has an empty im map.  The maps of
+    an existing polynomial are never mutated and may be shared."""
+
+    __slots__ = ("re", "im")
 
     def __init__(self, coeffs=None):
-        d = {}
+        """coeffs: a dict exponent -> GaussianRational, int or Fraction."""
+        re, im = {}, {}
         if coeffs:
             for e, c in coeffs.items():
                 if type(c) is not GaussianRational:
                     c = GaussianRational(c)
-                if c:
-                    d[e] = c
-        self.coeffs = d
+                if c.re:
+                    re[e] = c.re
+                if c.im:
+                    im[e] = c.im
+        self.re = re
+        self.im = im
+
+    @staticmethod
+    def from_maps(re, im=None):
+        """The polynomial with the given component maps, taken as they are:
+        they must already be in normal form, and are not copied."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.re = re
+        out.im = {} if im is None else im
+        return out
 
     @staticmethod
     def const(c):
@@ -141,131 +219,139 @@ class LaurentPoly:
     def monomial(c, e):
         return LaurentPoly({e: c})
 
+    def coeff(self, e):
+        """The coefficient of v^e as a GaussianRational."""
+        return GaussianRational(self.re.get(e, 0), self.im.get(e, 0))
+
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
-        return type(other) is LaurentPoly and self.coeffs == other.coeffs
+        return (type(other) is LaurentPoly and self.re == other.re
+                and self.im == other.im)
 
     def __add__(self, other):
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = d.get(e, G_ZERO) + c
-            if s:
-                d[e] = s
-            else:
-                d.pop(e, None)
-        out = LaurentPoly()
-        out.coeffs = d
-        return out
-
-    def __neg__(self):
-        out = LaurentPoly()
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return out
+        return _lp(_combine(self.re, other.re, 1),
+                   _combine(self.im, other.im, 1))
 
     def __sub__(self, other):
-        return self + (-other)
+        return _lp(_combine(self.re, other.re, -1),
+                   _combine(self.im, other.im, -1))
+
+    def __neg__(self):
+        return _lp({e: -x for e, x in self.re.items()},
+                   {e: -x for e, x in self.im.items()})
 
     def __mul__(self, other):
-        if len(self.coeffs) == 1:
-            ((e, c),) = self.coeffs.items()
-            return other.shift(e).scale(c)
-        if len(other.coeffs) == 1:
-            ((e, c),) = other.coeffs.items()
-            return self.shift(e).scale(c)
-        d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = d.get(e, G_ZERO) + c1 * c2
-                if s:
-                    d[e] = s
-                else:
-                    d.pop(e, None)
-        out = LaurentPoly()
-        out.coeffs = d
-        return out
+        # (a + bt)(c + dt) = ac - bd + (ad + bc)t, skipping empty maps
+        a, b, c, d = self.re, self.im, other.re, other.im
+        re = {}
+        _convolve(re, a, c)
+        if not (b or d):
+            return _lp(_norm(re), {})
+        im = {}
+        _convolve(re, b, d, -1)
+        _convolve(im, a, d)
+        _convolve(im, b, c)
+        return _lp(_norm(re), _norm(im))
 
     def scale(self, c):
-        if not c:
-            return LaurentPoly()
-        out = LaurentPoly()
-        out.coeffs = {e: x * c for e, x in self.coeffs.items()}
-        return out
+        return self * LaurentPoly.const(c)
 
     def shift(self, k):
-        out = LaurentPoly()
-        out.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return out
+        if not k:
+            return self
+        return _lp({e + k: x for e, x in self.re.items()},
+                   {e + k: x for e, x in self.im.items()})
 
     def valuation(self):
-        return min(self.coeffs) if self.coeffs else inf
+        v = min(self.re, default=inf)
+        return min(v, min(self.im)) if self.im else v
 
     def degree(self):
-        return max(self.coeffs) if self.coeffs else -inf
+        d = max(self.re, default=-inf)
+        return max(d, max(self.im)) if self.im else d
 
     def subs_v_inverse(self, sign):
         """v -> sign * v^-1 (sign is +1 or -1)."""
-        out = LaurentPoly()
         if sign == 1:
-            out.coeffs = {-e: c for e, c in self.coeffs.items()}
-        else:
-            out.coeffs = {
-                -e: (c if e % 2 == 0 else -c) for e, c in self.coeffs.items()
-            }
-        return out
+            return _lp({-e: x for e, x in self.re.items()},
+                       {-e: x for e, x in self.im.items()})
+        return _lp({-e: -x if e % 2 else x for e, x in self.re.items()},
+                   {-e: -x if e % 2 else x for e, x in self.im.items()})
 
     def subs_v_t_scaled(self, k):
-        """v -> t^k * v: multiplies the coefficient of v^e by t^(k*e)."""
-        out = LaurentPoly()
-        out.coeffs = {
-            e: c * GaussianRational.t_power(k * e) for e, c in self.coeffs.items()
-        }
-        return out
+        """v -> t^k * v: multiplies the coefficient of v^e by t^(k*e).
+
+        A value x of the map for t^j (j = 0 for re, 1 for im) becomes
+        x t^m, m = k*e + j: +x or -x (m mod 4 >= 2) in the map for t^(m % 2).
+        """
+        maps = ({}, {})
+        for j, part in enumerate((self.re, self.im)):
+            for e, x in part.items():
+                m = (k * e + j) % 4
+                maps[m % 2][e] = -x if m >= 2 else x
+        return _lp(*maps)
 
     def __repr__(self):
-        return f"LaurentPoly({self.coeffs!r})"
+        return f"LaurentPoly.from_maps({self.re!r}, {self.im!r})"
+
+
+_lp = LaurentPoly.from_maps
 
 
 def _poly_divmod(a, b):
-    """Division with remainder for genuine polynomials (valuation >= 0)."""
+    """Division with remainder for genuine polynomials (valuation >= 0).
+
+    Each quotient term q is taken off the remainder's component maps as
+    q*b v^k.  For a real b each part of q scales b.re into one map, and a
+    zero part is skipped; otherwise q*b is formed first, so that every
+    remainder entry takes one subtraction."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(a.coeffs)
+    rr, ri = dict(a.re), dict(a.im)
+    br = b.re
     db = b.degree()
-    lead = b.coeffs[db]
-    quot = {}
-    while rem:
-        dr = max(rem)
+    lead = b.coeff(db)
+    qr, qi = {}, {}
+    while rr or ri:
+        dr = max(rr) if not ri else max(max(rr, default=-inf), max(ri))
         if dr < db:
             break
-        q = rem[dr] / lead
-        quot[dr - db] = q
-        for e, c in b.coeffs.items():
-            e2 = e + dr - db
-            s = rem.get(e2, G_ZERO) - q * c
-            if s:
-                rem[e2] = s
-            else:
-                rem.pop(e2, None)
-    r = LaurentPoly()
-    r.coeffs = rem
-    q = LaurentPoly()
-    q.coeffs = quot
-    return q, r
+        q = GaussianRational(rr.get(dr, 0), ri.get(dr, 0)) / lead
+        k = dr - db
+        if q.re:
+            qr[k] = q.re
+        if q.im:
+            qi[k] = q.im
+        if b.im:
+            t = _lp({k: -q.re} if q.re else {}, {k: -q.im} if q.im else {}) * b
+            _accumulate(rr, t.re)
+            _accumulate(ri, t.im)
+        else:
+            if q.re:
+                _accumulate(rr, br, -q.re, k)
+            if q.im:
+                _accumulate(ri, br, -q.im, k)
+    return _lp(qr, qi), _lp(rr, ri)
 
 
 def _poly_gcd(a, b):
     """Monic gcd of genuine polynomials over Q(t)."""
-    if (a and max(a.coeffs) == 0) or (b and max(b.coeffs) == 0):
+    if (a and a.degree() == 0) or (b and b.degree() == 0):
         return LP_ONE  # a nonzero constant is a unit
     while b:
         _, r = _poly_divmod(a, b)
         a, b = b, r
     if a:
-        a = a.scale(G_ONE / a.coeffs[a.degree()])
+        a = a.scale(G_ONE / a.coeff(a.degree()))
     return a
+
+
+# (num, den) input with a genuine denominator -> its normal form; see the
+# module docstring
+_NORMAL_FORMS = {}
+_NORMAL_FORM_CAP = 1024
 
 
 class RationalFn:
@@ -273,15 +359,15 @@ class RationalFn:
     gcd(num shifted to valuation 0, den) = 1.  num may be Laurent.
 
     The normalization makes the v-adic valuation O(1) (it is the valuation
-    of num) and equality syntactic.
+    of num) and equality syntactic.  A genuine denominator is normalized
+    once per distinct (num, den) input: later ones read _NORMAL_FORMS.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if type(num) is not LaurentPoly:
-            num = LaurentPoly.const(
-                num if type(num) is GaussianRational else GaussianRational(num))
+            num = LaurentPoly.const(num)
         if den is None:
             den = LP_ONE
         if not den:
@@ -294,6 +380,12 @@ class RationalFn:
             self.num = num
             self.den = LP_ONE
             return
+        key = (tuple(num.re.items()), tuple(num.im.items()),
+               tuple(den.re.items()), tuple(den.im.items()))
+        hit = _NORMAL_FORMS.get(key)
+        if hit is not None:
+            self.num, self.den = hit
+            return
         # pull the denominator's v-power into the numerator
         s = den.valuation()
         if s:
@@ -301,15 +393,18 @@ class RationalFn:
             num = num.shift(-s)
         vnum = num.valuation()
         g = _poly_gcd(num.shift(-vnum), den)
-        if g.coeffs != {0: G_ONE}:
+        if g != LP_ONE:
             num = _poly_divmod(num.shift(-vnum), g)[0].shift(vnum)
             den = _poly_divmod(den, g)[0]
-        lead = den.coeffs[den.degree()]
+        lead = den.coeff(den.degree())
         if lead != G_ONE:
             num = num.scale(G_ONE / lead)
             den = den.scale(G_ONE / lead)
         self.num = num
         self.den = LP_ONE if den == LP_ONE else den
+        if len(_NORMAL_FORMS) >= _NORMAL_FORM_CAP:
+            _NORMAL_FORMS.clear()
+        _NORMAL_FORMS[key] = (self.num, self.den)
 
     def __bool__(self):
         return bool(self.num)
@@ -350,13 +445,14 @@ class RationalFn:
     def __truediv__(self, other):
         if type(other) is not RationalFn:
             other = RationalFn(other)
-        if not other.num:
+        n = other.num
+        if not n:
             raise ZeroDivisionError("division by zero RationalFn")
-        if other.den is LP_ONE and len(other.num.coeffs) == 1:
-            ((e, c),) = other.num.coeffs.items()
-            inv = LaurentPoly.monomial(G_ONE / c, -e)
+        if other.den is LP_ONE and len(n.re) + len(n.im) == 1:
+            (e,) = n.re or n.im
+            inv = LaurentPoly.monomial(G_ONE / n.coeff(e), -e)
             return RationalFn(self.num * inv, self.den)
-        return RationalFn(self.num * other.den, self.den * other.num)
+        return RationalFn(self.num * other.den, self.den * n)
 
     def valuation(self):
         return self.num.valuation()
@@ -371,7 +467,7 @@ class RationalFn:
             return G_ZERO
         if val < 0:
             raise ZeroDivisionError("pole at v = 0")
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return self.num.coeff(0) / self.den.coeff(0)
 
     def substituted(self, f):
         """Apply a LaurentPoly -> LaurentPoly substitution to num and den."""
@@ -381,29 +477,27 @@ class RationalFn:
         return f"RationalFn({self.num!r}, {self.den!r})"
 
 
-LP_ONE = LaurentPoly({0: G_ONE})
+LP_ONE = LaurentPoly({0: 1})
 
 
 def lp_to_ratfn(a):
     """Integer Laurent kernel tuple (offset, coeffs) -> RationalFn."""
     off, coeffs = a
-    return RationalFn(LaurentPoly(
-        {off + k: GaussianRational(c) for k, c in enumerate(coeffs) if c}))
+    return RationalFn(LaurentPoly.from_maps(
+        {off + k: c for k, c in enumerate(coeffs) if c}))
 
 
 def ratfn_to_lp(r):
     """RationalFn -> integer Laurent kernel tuple; ValueError if not one."""
-    if r.den.coeffs != {0: G_ONE}:
+    if r.den != LP_ONE:
         raise ValueError("scalar has a genuine denominator")
-    if not r.num.coeffs:
+    re = r.num.re
+    if r.num.im or any(type(c) is not int for c in re.values()):
+        raise ValueError("scalar is not an integer Laurent polynomial")
+    if not re:
         return (0, ())
-    coeffs = {}
-    for e, c in r.num.coeffs.items():
-        if c.im or type(c.re) is not int:
-            raise ValueError("scalar is not an integer Laurent polynomial")
-        coeffs[e] = c.re
-    lo = min(coeffs)
-    return (lo, tuple(coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)))
+    lo = min(re)
+    return (lo, tuple(re.get(e, 0) for e in range(lo, max(re) + 1)))
 
 
 # The values of pi, in the order of PiScalar's (plus, minus) components.
@@ -556,13 +650,12 @@ def qinteger(k, d=1):
         raise ValueError("qinteger needs k >= 0; use qinteger_signed")
     plus = {}
     minus = {}
-    neg = -G_ONE
     for l in range(k):
         e = d * (k - 1 - 2 * l)
-        plus[e] = G_ONE
-        minus[e] = neg if d * (k - 1 - l) % 2 else G_ONE
-    return PiScalar(RationalFn(LaurentPoly(plus)),
-                    RationalFn(LaurentPoly(minus)))
+        plus[e] = 1
+        minus[e] = -1 if d * (k - 1 - l) % 2 else 1
+    return PiScalar(RationalFn(LaurentPoly.from_maps(plus)),
+                    RationalFn(LaurentPoly.from_maps(minus)))
 
 
 def qinteger_signed(k, d=1):
@@ -645,8 +738,8 @@ def render_poly(p):
     if not p:
         return "0"
     parts = []
-    for e in sorted(p.coeffs):
-        t = _render_term(e, p.coeffs[e])
+    for e in sorted(p.re.keys() | p.im.keys()):
+        t = _render_term(e, p.coeff(e))
         if not parts:
             parts.append(t)
         elif t.startswith("-"):

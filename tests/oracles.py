@@ -12,18 +12,17 @@ from fractions import Fraction
 V = sympy.Symbol("v")
 
 
+def laurent_to_sympy(p):
+    """Convert a covquant LaurentPoly to a sympy expression (t -> I)."""
+    return sum((sympy.Rational(c.numerator, c.denominator) * unit * V ** e
+                for part, unit in ((p.re, 1), (p.im, sympy.I))
+                for e, c in part.items()),
+               sympy.Integer(0))
+
+
 def ratfn_to_sympy(r):
     """Convert a covquant RationalFn to a sympy expression (t -> I)."""
-
-    def poly(p):
-        return sum(
-            (sympy.Rational(c.re.numerator, c.re.denominator)
-             + sympy.Rational(c.im.numerator, c.im.denominator) * sympy.I)
-            * V ** e
-            for e, c in p.coeffs.items()
-        )
-
-    return sympy.cancel(poly(r.num) / poly(r.den))
+    return sympy.cancel(laurent_to_sympy(r.num) / laurent_to_sympy(r.den))
 
 
 def lp_to_sympy(a):

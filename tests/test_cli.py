@@ -328,6 +328,17 @@ def test_lambda_bracket_budget_boundary(capsys):
             assert f"index '{index}'" in payload["error"]
 
 
+def test_negative_lambda_as_separate_argument(tmp_path):
+    outputs = []
+    for spelling in (["--lambda", "-1,0"], ["--lambda=-1,0"],
+                     ["--lam", "-1,0"]):
+        out = tmp_path / "out.json"
+        argv = ["character", "--datum", "osp14", *spelling, "--height", "2"]
+        outputs.append((main(argv + ["--out", str(out)]), out.read_bytes()))
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 # --- character ------------------------------------------------------------
 
 

@@ -2,6 +2,9 @@
 every function, class and method it defines is referenced somewhere."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -105,3 +108,17 @@ def src_and_test_reads():
 def test_no_dead_definitions(name, src_and_test_reads):
     source = (SRC / name).read_text(encoding="utf-8")
     assert dead_definitions(source, src_and_test_reads) == []
+
+
+def test_cli_import_leaves_umod_and_crystal_unloaded():
+    # each command imports the heavy modules it needs, so a cold start
+    # of validate or canonical does not compile umod
+    code = ("import sys, covquant.cli; print(' '.join(sorted("
+            "m for m in sys.modules if m.startswith('covquant'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "covquant.cli" in loaded
+    assert "covquant.umod" not in loaded
+    assert "covquant.crystal" not in loaded

@@ -339,7 +339,7 @@ def _euclid_gcd(a, b):
     while b:
         a, b = b, _poly_divmod(a, b)[1]
     if a:
-        a = a.scale(GaussianRational(1) / a.coeffs[a.degree()])
+        a = a.scale(GaussianRational(1) / a.coeff(a.degree()))
     return a
 
 
@@ -358,3 +358,145 @@ def test_poly_gcd_constant_shortcut_matches_euclid():
             assert _poly_gcd(const, p) == _euclid_gcd(const, p)
             assert _poly_gcd(p, const) == _euclid_gcd(p, const)
             assert _poly_gcd(const, p) == LaurentPoly({0: GaussianRational(1)})
+
+
+# --- component maps against sympy over QQ_I ----------------------------------
+
+
+def _normal_poly(p):
+    """Both component maps hold no zero, and int exactly when integral."""
+    return all(x and _normal_component(x)
+               for part in (p.re, p.im) for x in part.values())
+
+
+def _qq_i(p):
+    return sympy.Poly(oracles.laurent_to_sympy(p), V, domain="QQ_I")
+
+
+def _same(p, expr):
+    return _normal_poly(p) and sympy.expand(
+        oracles.laurent_to_sympy(p) - expr) == 0
+
+
+@st.composite
+def component_polys(draw, low=-4, high=4):
+    """LaurentPoly over Q(t) with Fraction and non-real coefficients,
+    built from its component maps through the dict constructor."""
+    d = {}
+    for e in draw(st.lists(st.integers(low, high), max_size=6)):
+        d[e] = GaussianRational(draw(rationals), draw(rationals))
+    return LaurentPoly(d)
+
+
+genuine_polys = component_polys(low=0, high=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(component_polys(), component_polys())
+def test_component_ring_ops_match_sympy(a, b):
+    sa, sb = oracles.laurent_to_sympy(a), oracles.laurent_to_sympy(b)
+    assert _normal_poly(a) and _normal_poly(b)
+    assert _same(a * b, sa * sb)
+    assert _same(a + b, sa + sb)
+    assert _same(a - b, sa - sb)
+    assert _same(-a, -sa)
+    for c in (GaussianRational(Fraction(2, 3)), GaussianRational(0, -2),
+              GaussianRational(Fraction(1, 2), 3)):
+        assert _same(a.scale(c), sa * (c.re + c.im * sympy.I))
+
+
+@settings(max_examples=60, deadline=None)
+@given(component_polys(), st.integers(-7, 7))
+def test_substitutions_match_sympy(a, k):
+    sa = oracles.laurent_to_sympy(a)
+    for sign in (1, -1):
+        assert _same(a.subs_v_inverse(sign), sa.subs(V, sign / V))
+    assert _same(a.subs_v_t_scaled(k), sa.subs(V, sympy.I ** k * V))
+    assert _same(a.shift(k), sa * V ** k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(genuine_polys, genuine_polys)
+def test_divmod_matches_sympy(a, b):
+    if not b:
+        return
+    q, r = _poly_divmod(a, b)
+    assert _normal_poly(q) and _normal_poly(r)
+    assert (_qq_i(q), _qq_i(r)) == sympy.div(_qq_i(a), _qq_i(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(genuine_polys, genuine_polys, genuine_polys)
+def test_gcd_matches_sympy(g, a, b):
+    # a common factor g makes most gcds nontrivial
+    a, b = a * g, b * g
+    if not (a or b):
+        return
+    got = _poly_gcd(a, b)
+    assert _normal_poly(got)
+    assert _qq_i(got) == sympy.gcd(_qq_i(a), _qq_i(b))
+
+
+def test_real_operands_keep_empty_imaginary_maps():
+    a = LaurentPoly({0: Fraction(1, 2), 3: -2})
+    b = LaurentPoly({-1: 3, 1: Fraction(2, 3)})
+    for p in (a * b, a + b, a - b, a.subs_v_inverse(-1), _poly_divmod(a, a)[0],
+              _poly_gcd(a, a * b.shift(1))):
+        assert p.im == {} and _normal_poly(p)
+    assert (a * b).re == {-1: Fraction(3, 2), 1: Fraction(1, 3), 2: -6,
+                          4: Fraction(-4, 3)}
+
+
+# --- the normal-form memo ----------------------------------------------------
+
+
+def _exact_data(p):
+    return tuple(sorted((e, type(x), x) for e, x in part.items())
+                 for part in (p.re, p.im))
+
+
+def test_memo_matches_fresh_normalization(tmp_path, monkeypatch):
+    from covquant import cli, scalars
+    argv = ["canonical", "--datum", "osp14", "--height", "4",
+            "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0  # warms the memo
+    seen = []
+    init = RationalFn.__init__
+
+    def recording(self, num, den=None):
+        init(self, num, den)
+        if den is not None and den != scalars.LP_ONE:
+            seen.append((num, den, self.num, self.den))
+
+    monkeypatch.setattr(RationalFn, "__init__", recording)
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    assert len(seen) > 1000
+    assert len(scalars._NORMAL_FORMS) < scalars._NORMAL_FORM_CAP
+    for num, den, warm_num, warm_den in seen:
+        scalars._NORMAL_FORMS.clear()
+        cold = RationalFn(num, den)
+        assert _exact_data(cold.num) == _exact_data(warm_num)
+        assert _exact_data(cold.den) == _exact_data(warm_den)
+
+
+@pytest.mark.parametrize("first, second", [
+    # the same real map, with and without an imaginary part
+    (LaurentPoly({0: 1, 1: 2}),
+     LaurentPoly({0: 1, 1: GaussianRational(2, 1)})),
+    # the same coefficients, the second shifted by v
+    (LaurentPoly({0: 1, 1: 2}), LaurentPoly({1: 1, 2: 2})),
+])
+def test_memo_key_separates_close_inputs(first, second):
+    from covquant import scalars
+    # a key made of the real coefficient values alone would merge them
+    assert list(first.re.values()) == list(second.re.values())
+    den = LaurentPoly({0: 1, 1: 2})
+    scalars._NORMAL_FORMS.clear()
+    cold = RationalFn(second, den)
+    scalars._NORMAL_FORMS.clear()
+    warm_first = RationalFn(first, den)
+    warm_second = RationalFn(second, den)
+    assert warm_first != warm_second
+    assert _exact_data(warm_second.num) == _exact_data(cold.num)
+    assert _exact_data(warm_second.den) == _exact_data(cold.den)
