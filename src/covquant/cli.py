@@ -316,8 +316,9 @@ def _build_parser():
                         help="datum JSON file (or a built-in name: "
                              + ", ".join(sorted(CATALOG)) + ")")
         sp.add_argument("--out", help="write JSON here instead of stdout")
-        sp.add_argument("--cache", help="directory for on-disk Gram caches")
         if name != "validate":
+            sp.add_argument("--cache",
+                            help="directory for on-disk Gram caches")
             sp.add_argument("--height", type=int, default=3,
                             help="height bound (default 3, cap "
                                  f"{HEIGHT_CAP})")

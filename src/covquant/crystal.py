@@ -12,7 +12,7 @@ mod vL is invisible there.
 """
 
 from .freealg import FreeElement
-from .linalg import RF_ZERO, identity, solve
+from .linalg import solve
 from .scalars import (
     GaussianRational,
     LaurentPoly,
@@ -387,7 +387,10 @@ class Crystal:
         stored representative is divided out at the end.  Bar-invariance
         is preserved at every step because the corrections and the unit
         are bar-invariant, so the result is the unique bar-invariant
-        element of L congruent to b mod vL.
+        element of L congruent to b mod vL.  The monomials' coordinates
+        over the representatives come from one linalg.solve per
+        pi-component, with their pivot-word coordinates as the
+        right-hand sides; no inverse is formed.
         """
         nu = tuple(nu)
         got = self._canonical.get(nu)
@@ -401,15 +404,22 @@ class Crystal:
                 f"crystal count {len(elements)} differs from dim f_nu "
                 f"{len(pivot_words)} at weight {nu}")
         n = len(elements)
-        rinv = {}
-        for sign in SIGNS:
-            A = [[elements[s].coords[w].specialize(sign) for s in range(n)]
-                 for w in range(len(pivot_words))]
-            rinv[sign] = solve(A, identity(n))
-        starts = []
+        monomials = []
         for el in elements:
-            m = ctx.reduce_element(self._monomial(self._adapted_word(el.label)))
-            starts.append((m, self._rep_coords(rinv, m, nu)))
+            m = self._monomial(self._adapted_word(el.label))
+            monomials.append(ctx.reduce_at(m, nu)[1])
+        # column k of B holds monomial k on the pivot words, column k of
+        # the solution the same monomial over the crystal representatives
+        over_reps = {}
+        for sign in SIGNS:
+            A = [[el.coords[w].specialize(sign) for el in elements]
+                 for w in range(n)]
+            B = [[m[w].specialize(sign) for m in monomials] for w in range(n)]
+            over_reps[sign] = solve(A, B)
+        starts = [(FreeElement(zip(pivot_words, m)),
+                   {sign: [row[k] for row in over_reps[sign]]
+                    for sign in SIGNS})
+                  for k, m in enumerate(monomials)]
         G_elems = [None] * n
         G_coords = [None] * n
         for _ in range(n + 1):
@@ -462,18 +472,6 @@ class Crystal:
             while t < len(word) and word[t] == word[s]:
                 t += 1
             out = F.mul(out, F.divided_power(word[s], t - s))
-        return out
-
-    def _rep_coords(self, rinv, x, nu):
-        """Per-sign coordinates of x over the crystal representatives."""
-        _, coords = self.ctx.reduce_at(x, nu)
-        out = {}
-        for sign in SIGNS:
-            vec = [c.specialize(sign) for c in coords]
-            out[sign] = [sum((rinv[sign][s][w] * vec[w]
-                              for w in range(len(vec)) if vec[w]),
-                             start=RF_ZERO)
-                         for s in range(len(rinv[sign]))]
         return out
 
     def _correct(self, t, start, G_elems, G_coords, nu):

@@ -309,47 +309,9 @@ class FreeAlgebra:
         return out
 
 
-# --- rendering and parsing (golden-file contract) ---------------------------
+# --- rendering (golden-file contract) ----------------------------------------
 
 def render_word(datum, word):
     if not word:
         return "1"
     return "".join(f"θ[{datum.indices[k]}]" for k in word)
-
-
-def parse_word(datum, text):
-    text = text.strip()
-    if text == "1":
-        return ()
-    out = []
-    pos = 0
-    index_of = {name: k for k, name in enumerate(datum.indices)}
-    while pos < len(text):
-        if not text.startswith("θ[", pos):
-            raise ValueError(f"malformed word at position {pos}: {text!r}")
-        end = text.index("]", pos)
-        name = text[pos + 2:end]
-        if name not in index_of:
-            raise ValueError(f"unknown index {name!r} in word {text!r}")
-        out.append(index_of[name])
-        pos = end + 1
-    return tuple(out)
-
-
-def render_element(datum, x):
-    """List of (word, scalar) pairs sorted lexicographically by word."""
-    from .scalars import render_scalar
-    return [[render_word(datum, w), render_scalar(x.terms[w])]
-            for w in sorted(x.terms)]
-
-
-def parse_element(datum, data):
-    from .scalars import parse_scalar
-    terms = {}
-    for word_text, scalar_data in data:
-        w = parse_word(datum, word_text)
-        c = parse_scalar(scalar_data)
-        if w in terms:
-            raise ValueError(f"duplicate word {word_text!r}")
-        terms[w] = c
-    return FreeElement(terms)

@@ -17,7 +17,9 @@ computation.
 
 The class-coordinate table holds, per weight and component, the class of
 every word in pivot-word coordinates as integer Laurent polynomials over
-one common denominator, reduced fraction-free from the echelon rows.
+one common denominator, reduced fraction-free from the echelon rows.  It
+is the only reduction onto the pivot words: reduce_at reads an element's
+class off it, and the module build reads it directly.
 """
 
 import hashlib
@@ -28,10 +30,9 @@ from math import comb
 from . import kernels
 from .cartan import stats_N, stats_p, weight_sub
 from .freealg import FreeAlgebra, FreeElement, render_word
+from .linalg import RF_ZERO
 from .scalars import (
-    LaurentPoly,
     PiScalar,
-    RationalFn,
     SIGNS,
     lp_to_ratfn,
     qbinomial,
@@ -40,7 +41,6 @@ from .scalars import (
 
 _SIGN_KEYS = {1: "plus", -1: "minus"}
 _CACHE_FORMAT = 2
-_LEFT_MASS = "reduction left mass outside the pivot words"
 
 
 class GramCacheError(Exception):
@@ -336,37 +336,27 @@ class QuotientContext:
 
     # --- reduction and equality ---------------------------------------------------
 
-    def _component_vector(self, part, nu, sign):
-        words = self.words(nu)
-        index = {w: t for t, w in enumerate(words)}
-        zero = RationalFn(LaurentPoly())
-        vec = [zero] * len(words)
-        for w, c in part.terms.items():
-            vec[index[w]] = c.specialize(sign)
-        return vec
-
     def reduce_at(self, x, nu):
-        rad = self.radical(nu)
-        words = self.words(nu)
-        pivot_words = self._pivots[nu]
-        pivot_pos = {w: t for t, w in enumerate(pivot_words)}
+        """x's class on the pivot words: per sign, the sum over x's words
+        w of c_w times w's class-coordinate row, divided by the table's
+        den.  An entry 1, as on a pivot word's own row, adds c_w as is."""
+        pivot_words = self.pivots(nu)
+        table = self.class_coords(nu)
         comps = {}
         for sign in SIGNS:
-            vec = self._component_vector(x, nu, sign)
-            rows, piv = rad[sign]
-            for row, lead in zip(rows, piv):
-                f = vec[lead]
-                if f:
-                    ratio = f / lp_to_ratfn(row[lead])
-                    for j in range(len(words)):
-                        if row[j][1]:
-                            vec[j] = vec[j] - ratio * lp_to_ratfn(row[j])
-            coords = [None] * len(pivot_words)
-            for t, w in enumerate(words):
-                if w in pivot_pos:
-                    coords[pivot_pos[w]] = vec[t]
-                elif vec[t]:
-                    raise ArithmeticError(_LEFT_MASS)
+            den, rows = table[sign]
+            coords = [RF_ZERO] * len(pivot_words)
+            for w, c in x.terms.items():
+                c = c.specialize(sign)
+                if not c:
+                    continue
+                for t, a in enumerate(rows[w]):
+                    if a[1]:
+                        c_a = c if a == kernels.LP_ONE else c * lp_to_ratfn(a)
+                        coords[t] = coords[t] + c_a if coords[t] else c_a
+            if den != kernels.LP_ONE:
+                den = lp_to_ratfn(den)
+                coords = [a / den for a in coords]
             comps[sign] = coords
         coords = [PiScalar(p, m) for p, m in zip(comps[1], comps[-1])]
         return pivot_words, coords
@@ -407,7 +397,8 @@ class QuotientContext:
             vec[t] = kernels.LP_ONE
             vec, scale = kernels.vec_reduce(rows[k:], piv[k:], vec)
             if any(vec[col][1] for col in piv):
-                raise ArithmeticError(_LEFT_MASS)
+                raise ArithmeticError(
+                    "reduction left mass outside the pivot words")
             try:
                 table[w] = tuple(kernels.lp_divexact(vec[c], scale)
                                  for c in keep)

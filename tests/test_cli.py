@@ -253,6 +253,15 @@ def test_canonical_deterministic_and_cache_invariant(tmp_path):
     assert out.read_bytes() == outs[0]
 
 
+def test_validate_rejects_cache(tmp_path):
+    # validate builds no Gram matrix, so --cache is not one of its options
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--datum", "osp14", "--cache", str(cache)])
+    assert err.value.code == 2
+    assert not cache.exists()
+
+
 def test_cache_path_is_a_file_exits_2(capsys, tmp_path):
     notadir = tmp_path / "notadir"
     notadir.write_text("", encoding="utf-8")
@@ -544,12 +553,14 @@ def test_golden_output_digest(tmp_path, argv, code, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# RationalFn constructions of one in-process verify run, as recorded when
-# the module suites started sharing memoized word products (9046 before)
-VERIFY_OSP14_H3_RATFN_COUNT = 5109
+# RationalFn constructions of one in-process run each, as recorded when
+# reduce_at started reading the class-coordinate table (verify 4781 and
+# canonical 6068 before)
+VERIFY_OSP14_H3_RATFN_COUNT = 4515
+CANONICAL_OSP14_H4_RATFN_COUNT = 4782
 
 
-def test_verify_rationalfn_count_guard(tmp_path, monkeypatch):
+def _rationalfn_count(tmp_path, monkeypatch, argv):
     count = [0]
     init = scalars.RationalFn.__init__
 
@@ -558,10 +569,20 @@ def test_verify_rationalfn_count_guard(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(scalars.RationalFn, "__init__", counting)
-    argv = ["verify", "--datum", "osp14", "--suite", "all", "--height", "3",
-            "--out", str(tmp_path / "out.json")]
-    assert main(argv) == 0
-    assert count[0] <= VERIFY_OSP14_H3_RATFN_COUNT
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    return count[0]
+
+
+def test_verify_rationalfn_count_guard(tmp_path, monkeypatch):
+    argv = ["verify", "--datum", "osp14", "--suite", "all", "--height", "3"]
+    assert _rationalfn_count(tmp_path, monkeypatch, argv) <= \
+        VERIFY_OSP14_H3_RATFN_COUNT
+
+
+def test_canonical_rationalfn_count_guard(tmp_path, monkeypatch):
+    argv = ["canonical", "--datum", "osp14", "--height", "4"]
+    assert _rationalfn_count(tmp_path, monkeypatch, argv) <= \
+        CANONICAL_OSP14_H4_RATFN_COUNT
 
 
 def _osp14_root_datum(pairing, emb_x):

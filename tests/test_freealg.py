@@ -8,9 +8,6 @@ from covquant.catalog import catalog_datum
 from covquant.freealg import (
     FreeAlgebra,
     FreeElement,
-    parse_element,
-    parse_word,
-    render_element,
     render_word,
     word_parity,
     word_weight,
@@ -427,27 +424,3 @@ def test_render_word(osp14):
     datum, F = osp14
     assert render_word(datum, ()) == "1"
     assert render_word(datum, (0, 1, 0)) == "θ[1]θ[2]θ[1]"
-    assert parse_word(datum, "θ[1]θ[2]θ[1]") == (0, 1, 0)
-    assert parse_word(datum, "1") == ()
-    with pytest.raises(ValueError):
-        parse_word(datum, "θ[9]")
-    with pytest.raises(ValueError):
-        parse_word(datum, "x")
-
-
-def test_render_element_sorted(osp14):
-    datum, F = osp14
-    x = F.mul(F.theta(1), F.theta(0)) + F.mul(F.theta(0), F.theta(1)).scale(
-        PiScalar.v_power(2))
-    data = render_element(datum, x)
-    assert [row[0] for row in data] == ["θ[1]θ[2]", "θ[2]θ[1]"]
-    assert data[0][1] == {"plus": "v^2", "minus": "v^2"}
-    assert parse_element(datum, data) == x
-
-
-def test_render_parse_roundtrip(osp14):
-    datum, F = osp14
-    rng = random.Random(53)
-    for _ in range(15):
-        x = random_element(F, rng)
-        assert parse_element(datum, render_element(datum, x)) == x

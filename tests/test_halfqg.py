@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -10,10 +11,10 @@ import sympy
 from covquant import halfqg, kernels
 from covquant.catalog import all_catalog_names, catalog_datum, finite_catalog_names
 from covquant.cli import main
-from covquant.freealg import FreeElement, render_element
+from covquant.freealg import FreeElement, render_word
 from covquant.halfqg import QuotientContext, serre_coefficient
 from covquant.scalars import PS_ONE, PS_PI, PiScalar, lp_to_ratfn, \
-    qbinomial, ratfn_to_lp
+    qbinomial, ratfn_to_lp, render_scalar
 
 from oracles import (
     kostant_partition,
@@ -207,27 +208,55 @@ def test_dimension_matches_kostant_partition(name, height):
 # --- class-coordinate table -----------------------------------------------------
 
 
-def _assert_table_matches_reduce_at(ctx, nu):
-    table = ctx.class_coords(nu)
-    for w in ctx.words(nu):
-        pivots, coords = ctx.reduce_at(ctx.free.monomial(w), nu)
-        assert pivots == ctx.pivots(nu)
-        for sign in (1, -1):
-            den, nums = table[sign]
-            got = [lp_to_ratfn(a) / lp_to_ratfn(den) for a in nums[w]]
-            assert got == [c.plus if sign > 0 else c.minus for c in coords], \
-                (nu, w, sign)
+def _lp_dict(a):
+    off, coeffs = a
+    return {off + k: c for k, c in enumerate(coeffs) if c}
+
+
+def _gram_kills_residuals(ctx, nu, sign, table):
+    """True iff the Gram matrix kills e_w - sum_k table[w][k] e_{p_k} for
+    every word w, p_k the pivot words: the table holds classes in f.
+    A plain product loop over exponent dicts, independent of kernels."""
+    col = {w: t for t, w in enumerate(ctx.words(nu))}
+    pivots = ctx.pivots(nu)
+    for w, coords in table.items():
+        for row in ctx.gram(nu)[sign]:
+            acc = Counter(_lp_dict(row[col[w]]))
+            for p, a in zip(pivots, coords):
+                for e1, x in _lp_dict(a).items():
+                    for e2, y in _lp_dict(row[col[p]]).items():
+                        acc[e1 + e2] -= x * y
+            if any(acc.values()):
+                return False
+    return True
+
+
+def _bump(table):
+    """A copy of table with 1 added to the first entry of its first word
+    that has coordinates."""
+    w = next(w for w, coords in table.items() if coords)
+    coords = list(table[w])
+    coords[0] = kernels.lp_add(coords[0], LP_ONE)
+    return {**table, w: tuple(coords)}
 
 
 @pytest.mark.parametrize("name,height", [
     ("osp14", 6), ("osp16", 4), ("osp12_a1", 5), ("affine_b01", 5)])
 def test_class_coords_match_reduce_at(name, height):
-    # the fraction-free table against the field-arithmetic reduction
+    # reduce_at reads this table, so the table is checked against the
+    # Gram matrix: each word minus its class must lie in the radical
     ctx = QuotientContext(*catalog_datum(name))
-    for nu in ctx.free.weights_up_to_height(height):
-        _assert_table_matches_reduce_at(ctx, nu)
+    weights = ctx.free.weights_up_to_height(height)
+    for nu in weights:
         for sign in (1, -1):
-            assert ctx.class_coords(nu)[sign][0] == LP_ONE, (nu, sign)
+            den, table = ctx.class_coords(nu)[sign]
+            assert den == LP_ONE, (nu, sign)
+            assert _gram_kills_residuals(ctx, nu, sign, table), (nu, sign)
+    # negative control: one entry off by 1 at the largest weight space
+    nu = max((nu for nu in weights if ctx.dimension(nu)),
+             key=lambda nu: len(ctx.words(nu)))
+    _, table = ctx.class_coords(nu)[1]
+    assert not _gram_kills_residuals(ctx, nu, 1, _bump(table))
 
 
 def _plant_radical(ctx, nu, rows, piv):
@@ -250,11 +279,32 @@ def test_class_coords_genuine_denominator():
              [zero, (0, (1, 0, 1)), (1, (1,))]],
     }
     _plant_radical(ctx, nu, rows, [0, 1])
-    _assert_table_matches_reduce_at(ctx, nu)
+    words, pivots = ctx.words(nu), ctx.pivots(nu)
+
+    def residuals_in_span(sign, den, table):
+        # den e_w - sum_k table[w][k] e_{p_k} against the planted rows
+        span = sympy.Matrix([[lp_to_sympy(c) for c in r] for r in rows[sign]])
+        for w, coords in table.items():
+            res = [lp_to_sympy(den) if u == w else 0 for u in words]
+            for p, a in zip(pivots, coords):
+                res[words.index(p)] -= lp_to_sympy(a)
+            if span.col_join(sympy.Matrix([res])).rank() != span.rank():
+                return False
+        return True
+
     for sign in (1, -1):
-        assert ctx.class_coords(nu)[sign][0] != LP_ONE
-        _, coords = ctx.reduce_at(ctx.free.monomial(ctx.words(nu)[1]), nu)
-        assert not coords[0].specialize(sign).is_laurent()
+        den, table = ctx.class_coords(nu)[sign]
+        assert den != LP_ONE
+        assert residuals_in_span(sign, den, table)
+        assert not residuals_in_span(sign, den, _bump(table))
+        # reduce_at sums the table rows, pivot words included, over den
+        x = ctx.free.monomial(words[1]) + \
+            ctx.free.monomial(pivots[0]).scale(PiScalar.v_power(1))
+        _, coords = ctx.reduce_at(x, nu)
+        got = coords[0].specialize(sign)
+        assert not got.is_laurent()
+        want = lp_to_sympy(table[words[1]][0]) / lp_to_sympy(den) + V
+        assert sympy.simplify(ratfn_to_sympy(got) - want) == 0
 
 
 def test_reduction_left_mass_raises_arithmetic_error():
@@ -287,17 +337,23 @@ def test_serre_element_disconnected_case():
     assert ctx.is_zero_in_f(s)
 
 
+def _render(datum, x):
+    """(word, scalar) text pairs sorted by word."""
+    return [[render_word(datum, w), render_scalar(x.terms[w])]
+            for w in sorted(x.terms)]
+
+
 def test_serre_element_frozen_osp14(osp14_ctx):
     datum = osp14_ctx.datum
     s21 = osp14_ctx.serre_element(1, 0)
-    rendered = render_element(datum, s21)
+    rendered = _render(datum, s21)
     assert rendered == [
         ["θ[1]θ[2]θ[2]", {"plus": "1", "minus": "1"}],
         ["θ[2]θ[1]θ[2]", {"plus": "-v^-2 - v^2", "minus": "-v^-2 - v^2"}],
         ["θ[2]θ[2]θ[1]", {"plus": "1", "minus": "1"}],
     ]
     s12 = osp14_ctx.serre_element(0, 1)
-    rendered = render_element(datum, s12)
+    rendered = _render(datum, s12)
     # b = 3: pi-powers pi^{C(k,2)} since p(1)=1, p(2)=0
     assert rendered == [
         ["θ[1]θ[1]θ[1]θ[2]", {"plus": "1", "minus": "1"}],
