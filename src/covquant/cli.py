@@ -29,8 +29,10 @@ HEIGHT_CAP = 8
 # Largest |<i, lambda>| * d_i accepted from --lambda.  The module's
 # commutator scalars are the quantum integers <n> at v^(d_i), with n near
 # <i, lambda>; each has |n| terms spread over 2 d_i (|n| - 1) + 1
-# exponents, and the field elimination slows sharply as they grow.  At
-# the cap, character osp14 at height 2 runs in about 0.6 s on 2 cores.
+# exponents, and the module's field kernel slows sharply as they grow.
+# On 2 vCPU, character osp14 at height 2 runs in about 0.15 s with one
+# index at the cap (--lambda 4096,0) and about 9.5 s with both at it
+# (--lambda 4096,2048).
 BRACKET_TERM_CAP = 4096
 
 SUITES = ("half-twistor", "rho-psi", "lattice", "modified-twistor",

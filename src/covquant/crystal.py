@@ -137,7 +137,7 @@ def _positive(g):
     return g.im > 0
 
 
-# Not linalg.rref/reduce: these two pivot by v-adic valuation over A.
+# Not linalg.rref: these two pivot by v-adic valuation over A.
 def _dvr_echelon(rows):
     """Echelonize rows over A (regular at v = 0) by minimal-valuation
     pivoting.  Returns [(pivot_col, row)] in processing order; every

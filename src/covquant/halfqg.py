@@ -18,8 +18,9 @@ computation.
 The class-coordinate table holds, per weight and component, the class of
 every word in pivot-word coordinates as integer Laurent polynomials over
 one common denominator, reduced fraction-free from the echelon rows.  It
-is the only reduction onto the pivot words: reduce_at reads an element's
-class off it, and the module build reads it directly.
+is the only reduction onto the pivot words, and reduce_at, which reads an
+element's class off it, is its only reader.  The truncated modules are
+built on free words and read none of this.
 """
 
 import hashlib

@@ -1,9 +1,11 @@
 """Exact dense linear algebra over the per-component scalar field.
 
 Matrices are lists of lists of RationalFn (one pi-component at a time);
-rref and reduce also take GaussianRational entries.  Sizes at desk scale
-are small, so plain fraction-arithmetic Gaussian elimination with
-first-nonzero pivoting is fine and keeps pivot choices deterministic.
+rref also takes GaussianRational entries.  Sizes at desk scale are small,
+so plain fraction-arithmetic Gaussian elimination with first-nonzero
+pivoting is fine and keeps pivot choices deterministic.  crystal calls
+solve, and the module build calls kernel, whose reduction data it reads
+itself.
 """
 
 from .scalars import LaurentPoly, RationalFn
@@ -69,20 +71,11 @@ def rref(a, ncols):
     return [work[r] for r, _ in pivots], [c for _, c in pivots]
 
 
-def reduce(rows, pivots, vec):
-    """Reduce vec against rref rows (leading entries 1); the result is
-    zero iff vec lies in their span."""
-    for row, c in zip(rows, pivots):
-        f = vec[c]
-        if f:
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec
-
-
 def kernel(a, ncols):
     """Right null space of a as (basis, leads, pivots): pivots are a's pivot
     columns, leads the others, and each basis vector is 1 at its own lead
-    and 0 at the other leads, so reduce(basis, leads, v) lands on pivots."""
+    and 0 at the other leads, so subtracting v[lead] times each lead's
+    vector from v lands on the pivots."""
     rows, pivots = rref(a, ncols)
     hit = set(pivots)
     leads = [c for c in range(ncols) if c not in hit]

@@ -2,19 +2,20 @@
 
 Weight spaces are indexed by depth vectors nu (nonnegative root-lattice
 coordinates, height <= hmax); the space at nu sits at module weight
-lam - nu' and is spanned by the pivot words of the half algebra, cut down
-by the joint kernel of every raising word.  The raising action is unrolled
+lam - nu' and is the span of the free words of weight nu modulo the
+joint kernel of the raising maps.  The half algebra's radical lies in
+that kernel, so the build never forms it.  The raising action is unrolled
 from the commutator recursion, lowering is left concatenation, and the
 grouplike generators act diagonally.
 
 The module is built in one pass over the weights in height order.  The
-raising and lowering matrices on pivot words are computed in integer
-Laurent arithmetic from the class-coordinate tables, and the raising
-images are checked on the relation ideal there.  As RationalFn columns,
-each is reduced once modulo the kernel at its target; one linalg.kernel
-call on the stacked raising columns gives the kernel at a weight, whose
-pivot columns name the quotient basis, and the quotient operators are
-slices of the reduced columns.
+raising image of a word is a sparse column over the words one level
+down, bracket scalars at the subwords its letters leave, and the
+lowering image is the unit column of the concatenated word.  Each column
+is reduced once modulo the kernel at its target, by summing the classes
+of its words; one linalg.kernel call on the stacked raising columns gives
+the kernel at a weight, whose pivot columns name the quotient basis, and
+the quotient operators are slices of the reduced columns.
 
 On top of the bare module the suites here dress the generators with
 t-power tables and check, block by block, that the dressed operators
@@ -33,12 +34,12 @@ brackets and Serre coefficients are built once per module as well.
 
 from math import comb
 
-from . import kernels, linalg
+from . import linalg
 from .cartan import height, unit_weight, weight_add, weight_sub, weight_zero
 from .halfqg import serre_coefficient
 from .linalg import RF_ONE, RF_ZERO
 from .scalars import PS_ONE, PS_PI, GaussianRational, PiScalar, \
-    RationalFn, SIGNS, lp_to_ratfn, qfactorial, qinteger_signed, ratfn_to_lp
+    RationalFn, SIGNS, qfactorial, qinteger_signed
 
 
 class TruncationBoundary(Exception):
@@ -63,25 +64,29 @@ def _removals(word, i, datum):
     return out
 
 
-def _field_matrix(den, vecs):
-    """Integer Laurent numerators over a common denominator -> RationalFn
-    vectors for the field elimination."""
-    if den == kernels.LP_ONE:
-        return [[lp_to_ratfn(a) if a[1] else RF_ZERO for a in vec]
-                for vec in vecs]
-    d = lp_to_ratfn(den)
-    return [[lp_to_ratfn(a) / d if a[1] else RF_ZERO for a in vec]
-            for vec in vecs]
-
-
-def _reduced(den, vecs, kern):
-    """Integer Laurent columns over den as RationalFn columns, each reduced
-    modulo the target kernel kern and read at its quotient pivots."""
+def _word_classes(kern):
+    """The class of every word on the quotient pivots of kern, as (slot,
+    entry) pairs: a pivot word is 1 at its own slot, and a lead word is
+    minus its basis vector there, which is 1 at that lead and 0 at the
+    other leads."""
     basis, leads, pivots = kern
-    out = []
-    for col in _field_matrix(den, vecs):
-        col = linalg.reduce(basis, leads, col)
-        out.append([col[r] for r in pivots])
+    out = [None] * (len(leads) + len(pivots))
+    for k, c in enumerate(pivots):
+        out[c] = ((k, RF_ONE),)
+    for vec, c in zip(basis, leads):
+        out[c] = tuple((k, -vec[r]) for k, r in enumerate(pivots) if vec[r])
+    return out
+
+
+def _reduce(kern, col):
+    """A sparse column {word index: scalar} modulo the kernel kern, read at
+    its quotient pivots: the sum of each entry times its word's class."""
+    _, _, pivots, classes = kern
+    out = [RF_ZERO] * len(pivots)
+    for t, c in col.items():
+        for k, x in classes[t]:
+            y = c if x is RF_ONE else x if c is RF_ONE else c * x
+            out[k] = out[k] + y if out[k] else y
     return out
 
 
@@ -180,9 +185,9 @@ class WeightModule:
         self.weights += ctx.free.weights_up_to_height(hmax)
 
         self._brackets = {}
-        self._bracket_lps = {}
         self._serre = {}
         self._products = {}
+        self._index = {}
         self._kernels = {}
         self._eop = {}
         self._fop = {}
@@ -197,33 +202,29 @@ class WeightModule:
         both signs.  The raising columns out of nu and the lowering
         columns into nu are each reduced once, modulo the target kernel;
         the lowering ones must kill N(lam)_(nu - i)."""
-        ctx = self.ctx
-        pw = ctx.pivots(nu)
-        down = {}
-        for i in range(self.datum.rank):
-            if nu[i]:
-                imgs, low = self._raising_images(i, nu)
-                self._check_raising_on_radical(i, nu, imgs)
-                down[i] = (imgs, low)
+        words = self.ctx.words(nu)
+        index = self._index[nu] = {w: t for t, w in enumerate(words)}
+        down = {i: self._raising_images(i, nu)
+                for i in range(self.datum.rank) if nu[i]}
         for sign in SIGNS:
             raising = {}
             stacked = []
             for i, (imgs, low) in down.items():
-                raising[i] = _reduced(ctx.class_coords(low)[sign][0],
-                                      [imgs[sign][w] for w in pw],
-                                      self._kernels[(sign, low)])
+                lkern = self._kernels[(sign, low)]
+                raising[i] = [_reduce(lkern, col) for col in imgs[sign]]
                 stacked.extend(zip(*raising[i]))
-            kern = linalg.kernel(stacked, len(pw)) if down \
-                else ([], [], list(range(len(pw))))
+            kern = linalg.kernel(stacked, len(words)) if down \
+                else ([], [], list(range(len(words))))
+            # (basis, leads, pivots, classes): _reduce's data at nu
+            kern += (_word_classes(kern),)
             self._kernels[(sign, nu)] = kern
             piv = kern[2]
-            den, table = ctx.class_coords(nu)[sign]
             for i, (_, low) in down.items():
-                lbasis, _, lpiv = self._kernels[(sign, low)]
+                lbasis, _, lpiv, _ = self._kernels[(sign, low)]
                 self._eop[(sign, i, nu)] = _project(raising[i], piv,
                                                     len(lpiv))
-                lowering = _reduced(
-                    den, [table[(i,) + w] for w in ctx.pivots(low)], kern)
+                lowering = [_reduce(kern, {index[(i,) + w]: RF_ONE})
+                            for w in self.ctx.words(low)]
                 if not _is_zero(_mul(lbasis, lowering, len(piv))):
                     raise ArithmeticError(
                         "lowering action escapes the raising kernel at "
@@ -243,15 +244,6 @@ class WeightModule:
             self._brackets[key] = got
         return got
 
-    def _bracket_lp(self, n, d):
-        """bracket(n, d) per sign as integer Laurent kernel tuples."""
-        got = self._bracket_lps.get((n, d))
-        if got is None:
-            q = self.bracket(n, d)
-            got = {sign: ratfn_to_lp(q.specialize(sign)) for sign in SIGNS}
-            self._bracket_lps[(n, d)] = got
-        return got
-
     def serre_coefficients(self, i, j, twisted=False):
         """Coefficients of the Serre relation for (i, j), twisted when
         asked; built once per module and key."""
@@ -268,53 +260,33 @@ class WeightModule:
         return got
 
     def _raising_images(self, i, nu):
-        """Raising image of every word of nu in pivot coordinates one
-        level up: {sign: {word: numerators}} over the target's common
-        denominator.  The word surgery is independent of the highest
+        """Raising image of every word of nu as a sparse column over the
+        words one level down: {sign: [{word index: scalar}]} in the order
+        of ctx.words(nu).  The word surgery is independent of the highest
         weight; only the bracket scalars see lam."""
-        ctx = self.ctx
         datum = self.datum
         tgt = weight_sub(nu, unit_weight(datum.rank, i))
-        coords = ctx.class_coords(tgt)
-        m = ctx.dimension(tgt)
+        index = self._index[tgt]
         d_i = datum.d(i)
         n_i = self._pair_lam[i]
-        removals = [(w, _removals(w, i, datum)) for w in ctx.words(nu)]
+        removals = [[(index[sub], parity, self.bracket(n_i - offset, d_i))
+                     for sub, parity, offset in _removals(w, i, datum)]
+                    for w in self.ctx.words(nu)]
         imgs = {}
         for sign in SIGNS:
-            table = coords[sign][1]
-            out = {}
-            for w, rems in removals:
-                acc = [kernels.LP_ZERO] * m
-                for sub, parity, offset in rems:
-                    c = self._bracket_lp(n_i - offset, d_i)[sign]
-                    if not c[1]:
+            cols = []
+            for rems in removals:
+                col = {}
+                for t, parity, q in rems:
+                    c = q.specialize(sign)
+                    if not c:
                         continue
                     if parity and sign < 0:
-                        c = kernels.lp_neg(c)
-                    for r, s in enumerate(table[sub]):
-                        if s[1]:
-                            acc[r] = kernels.lp_add(acc[r],
-                                                    kernels.lp_mul(c, s))
-                out[w] = acc
-            imgs[sign] = out
+                        c = -c
+                    col[t] = col[t] + c if t in col else c
+                cols.append(col)
+            imgs[sign] = cols
         return imgs, tgt
-
-    def _check_raising_on_radical(self, i, nu, imgs):
-        # The unrolled recursion is only well defined on the quotient if
-        # it sends the relation ideal into the relation ideal; that it
-        # does is a theorem, so any residue here means an arithmetic bug.
-        # The images share one nonzero denominator, so the numerators
-        # must vanish.
-        words = self.ctx.words(nu)
-        for sign in SIGNS:
-            rows, _ = self.ctx.radical(nu)[sign]
-            img = imgs[sign]
-            if not kernels.lp_product_is_zero(rows, [img[w] for w in words]):
-                raise ArithmeticError(
-                    "raising recursion is inconsistent on the relation "
-                    f"ideal at weight {nu} (generator "
-                    f"{self.datum.indices[i]}, pi={sign:+d})")
 
     # -- basic queries -----------------------------------------------
 
@@ -328,12 +300,11 @@ class WeightModule:
         return len(self._kernel(nu, sign)[2])
 
     def space(self, nu, sign):
-        """Basis of the block at depth nu: the pivot words at the pivot
-        columns of the stacked raising matrix, i.e. those whose raising
-        images are independent of the images of the words before them."""
-        piv = self._kernel(nu, sign)[2]
-        pw = self.ctx.pivots(tuple(nu))
-        return [pw[c] for c in piv]
+        """Basis of the block at depth nu: the words at the pivot columns
+        of the stacked raising matrix, i.e. those whose raising images are
+        independent of the images of the words before them."""
+        words = self.ctx.words(tuple(nu))
+        return [words[c] for c in self._kernel(nu, sign)[2]]
 
     def block_weight(self, nu):
         return weight_sub(self.lam, self.root.weight_in_X(nu))

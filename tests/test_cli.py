@@ -553,11 +553,13 @@ def test_golden_output_digest(tmp_path, argv, code, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# RationalFn constructions of one in-process run each, as recorded when
-# reduce_at started reading the class-coordinate table (verify 4781 and
-# canonical 6068 before)
-VERIFY_OSP14_H3_RATFN_COUNT = 4515
+# RationalFn constructions of one in-process run each: canonical as
+# recorded when reduce_at started reading the class-coordinate table
+# (6068 before), verify and character since the module is built on free
+# words (verify 4515 and character 5330 before)
+VERIFY_OSP14_H3_RATFN_COUNT = 4368
 CANONICAL_OSP14_H4_RATFN_COUNT = 4782
+CHARACTER_OSP14_H6_RATFN_COUNT = 839
 
 
 def _rationalfn_count(tmp_path, monkeypatch, argv):
@@ -583,6 +585,13 @@ def test_canonical_rationalfn_count_guard(tmp_path, monkeypatch):
     argv = ["canonical", "--datum", "osp14", "--height", "4"]
     assert _rationalfn_count(tmp_path, monkeypatch, argv) <= \
         CANONICAL_OSP14_H4_RATFN_COUNT
+
+
+def test_character_rationalfn_count_guard(tmp_path, monkeypatch):
+    argv = ["character", "--datum", "osp14", "--lambda", "2,0",
+            "--height", "6"]
+    assert _rationalfn_count(tmp_path, monkeypatch, argv) <= \
+        CHARACTER_OSP14_H6_RATFN_COUNT
 
 
 def _osp14_root_datum(pairing, emb_x):

@@ -9,8 +9,10 @@ import pytest
 from covquant import linalg, umod
 from covquant.cartan import height, unit_weight, weight_sub, weight_zero
 from covquant.catalog import catalog_datum, finite_catalog_names
+from covquant.freealg import FreeAlgebra
 from covquant.halfqg import QuotientContext
 from covquant.linalg import RF_ONE, RF_ZERO
+from covquant.scalars import lp_to_ratfn
 from covquant.umod import (
     ModifiedTwistData,
     TruncationBoundary,
@@ -133,13 +135,13 @@ def test_highest_space_and_diagonal_scalars(mod14):
     assert m.j_scalar(mu, nu) == umod.PiScalar.pi_power(m.root.pair(mu, wt))
 
 
-def test_spaces_are_pivot_words(mod14):
+def test_spaces_are_words_of_weight(mod14):
     for sign in (1, -1):
         for nu in mod14.weights:
             words = mod14.space(nu, sign)
             assert len(words) == mod14.dimension(nu, sign)
-            pivots = mod14.ctx.pivots(nu)
-            assert all(w in pivots for w in words)
+            assert len(set(words)) == len(words)
+            assert all(w in mod14.ctx.words(nu) for w in words)
 
 
 def test_word_operator_boundary(mod14):
@@ -331,40 +333,80 @@ def test_chi_diagram_zero_element(mod14):
     assert verify_chi_diagram(mod14, mod14.ctx.free.zero())
 
 
-def test_raising_check_rejects_images_off_the_ideal():
-    # negative control for the relation-ideal check: one image entry moved
-    # by 1 on a word in a radical row's support must be caught
-    ctx = QuotientContext(*catalog_datum("osp14"))
-    module = build_module(ctx, (2, 0), 4)
-    nu, i = (3, 1), 0
-    imgs, _ = module._raising_images(i, nu)
-    module._check_raising_on_radical(i, nu, imgs)
-    for sign in (1, -1):
-        row = ctx.radical(nu)[sign][0][0]
-        t = next(t for t, a in enumerate(row) if a[1])
-        bad = {s: {w: list(img) for w, img in imgs[s].items()} for s in imgs}
-        w = ctx.words(nu)[t]
-        bad[sign][w][0] = umod.kernels.lp_add(bad[sign][w][0], (0, (1,)))
-        with pytest.raises(ArithmeticError,
-                           match=re.escape(f"pi={sign:+d})")):
-            module._check_raising_on_radical(i, nu, bad)
+def _ratfn_column(row):
+    """An integer Laurent row over the words as a sparse RationalFn
+    column."""
+    return {t: lp_to_ratfn(a) for t, a in enumerate(row) if a[1]}
+
+
+@pytest.mark.parametrize("name,lam,hmax", [
+    ("osp14", (2, 0), 6),
+    ("osp16", (1, 1, 1), 4),
+    ("osp12_a1", (2, 1), 4),
+    ("affine_b01", (1, 1, 0), 4),
+])
+def test_radical_rows_reduce_to_zero(name, lam, hmax):
+    # the module is built on free words without the half algebra's
+    # radical, which must still lie in the joint kernel of the raising
+    # maps: every radical row reduces to zero on N(lam)_nu
+    ctx = QuotientContext(*catalog_datum(name))
+    module = build_module(ctx, lam, hmax)
+    checked = 0
+    for nu in module.weights:
+        for sign in (1, -1):
+            kern = module._kernels[(sign, nu)]
+            rows = ctx.radical(nu)[sign][0]
+            for row in rows:
+                assert not any(umod._reduce(kern, _ratfn_column(row))), \
+                    (nu, sign)
+            checked += len(rows)
+            # negative control: a unit at a quotient-pivot word survives
+            if rows and kern[2]:
+                col = _ratfn_column(rows[0])
+                t = kern[2][0]
+                col[t] = col[t] + RF_ONE if t in col else RF_ONE
+                assert any(umod._reduce(kern, col)), (nu, sign)
+    assert checked
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_lowering_check_rejects_images_off_the_kernel(sign):
-    # negative control for the lowering-escape check: row 0 of the class
-    # of every lowering image theta_2 w, w a pivot word at (3, 0), moved
-    # by 1
+def test_lowering_check_rejects_images_off_the_kernel(sign, monkeypatch):
+    # negative control for the lowering-escape check: the raising image of
+    # theta_2 theta_1^3 at (3, 1) gains a unit at a quotient-pivot word of
+    # (2, 1), so theta_1^3, in the kernel at (3, 0), no longer lowers into
+    # the kernel at (3, 1)
     ctx = QuotientContext(*catalog_datum("osp14"))
-    _, table = ctx.class_coords((3, 1))[sign]
-    for w in ctx.pivots((3, 0)):
-        coords = table[(1,) + w]
-        table[(1,) + w] = (umod.kernels.lp_add(
-            coords[0], umod.kernels.LP_ONE),) + coords[1:]
+    images = umod.WeightModule._raising_images
+
+    def shifted(self, i, nu):
+        imgs, tgt = images(self, i, nu)
+        if (i, nu) == (0, (3, 1)):
+            col = imgs[sign][self._index[nu][(1, 0, 0, 0)]]
+            t = self._kernels[(sign, tgt)][2][0]
+            col[t] = col[t] + RF_ONE if t in col else RF_ONE
+        return imgs, tgt
+
+    monkeypatch.setattr(umod.WeightModule, "_raising_images", shifted)
     with pytest.raises(ArithmeticError, match=re.escape(
             "lowering action escapes the raising kernel at weight (3, 0) "
             f"(generator 2, pi={sign:+d})")):
         build_module(ctx, (2, 0), 4)
+
+
+def test_build_pairs_no_words(monkeypatch):
+    # the module never forms the half algebra's Gram matrix
+    calls = []
+    pair = FreeAlgebra.pair_words
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return pair(self, *args, **kwargs)
+
+    monkeypatch.setattr(FreeAlgebra, "pair_words", counting)
+    ctx = QuotientContext(*catalog_datum("osp14"))
+    module = build_module(ctx, (2, 0), 6)
+    assert character_report(module, 1)["character"]
+    assert calls == []
 
 
 def test_build_eliminates_once_per_sign_and_weight(monkeypatch):
