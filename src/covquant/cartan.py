@@ -31,9 +31,13 @@ class SuperCartanDatum:
             raise TypeError(f"indices must be a list of names, got "
                             f"{indices!r}")
         self.indices = tuple(str(i) for i in indices)
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError(f"index names must be distinct, got "
-                             f"{list(self.indices)}")
+        # labels and words are index names written side by side, so they
+        # must read back one way: no name empty or a prefix of another
+        names = sorted(self.indices)
+        if not all(names) or any(b.startswith(a)
+                                 for a, b in zip(names, names[1:])):
+            raise ValueError(f"index names must be non-empty and none a "
+                             f"prefix of another, got {list(self.indices)}")
         self.dot = tuple(tuple(_as_int(c) for c in row) for row in dot)
         self.parity = tuple(_as_int(p) for p in parity)
         n = len(self.indices)
@@ -628,7 +632,7 @@ def normalized_datum_dict(datum, root, tf):
 
 
 def datum_hash(datum, root, tf):
-    """Hex hash identifying the normalized datum (used in cache file names)."""
+    """Hex hash identifying the normalized datum (stamped on CLI output)."""
     payload = json.dumps(normalized_datum_dict(datum, root, tf),
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -21,7 +21,7 @@ from .cartan import SuperCartanDatum, TransversalError, datum_from_dict, \
     datum_hash, height, normalized_datum_dict
 from .catalog import CATALOG
 from .freealg import render_word
-from .halfqg import GramCacheError, QuotientContext
+from .halfqg import QuotientContext
 from .scalars import PS_ONE, SIGNS, render_scalar
 
 HEIGHT_CAP = 8
@@ -37,6 +37,8 @@ BRACKET_TERM_CAP = 4096
 
 SUITES = ("half-twistor", "rho-psi", "lattice", "modified-twistor",
           "hat-twistor", "chi-diagram", "clubsuit")
+# the suites that --mutate plants an error in
+MUTABLE_SUITES = ("half-twistor", "modified-twistor", "hat-twistor")
 
 
 class InputError(Exception):
@@ -72,7 +74,7 @@ def _load_context(cfg):
         raise InputError(
             "datum fails validation: "
             + "; ".join(f["message"] for f in findings))
-    return QuotientContext(datum, root, tf, cache_dir=cfg.cache)
+    return QuotientContext(datum, root, tf)
 
 
 def _resolve_lambda(cfg, ctx, required=False):
@@ -252,10 +254,12 @@ def _suite_clubsuit(ctx, cfg):
 def cmd_verify(cfg):
     from . import umod
     _check_height(cfg)
-    if cfg.suite != "all" and cfg.suite not in SUITES:
-        raise InputError(f"unknown suite '{cfg.suite}'")
-    ctx = _load_context(cfg)
     wanted = SUITES if cfg.suite == "all" else (cfg.suite,)
+    if cfg.mutate and not set(MUTABLE_SUITES) & set(wanted):
+        raise InputError(
+            f"--mutate plants no error in suite '{cfg.suite}'; it acts on "
+            + ", ".join(MUTABLE_SUITES))
+    ctx = _load_context(cfg)
     lam = _resolve_lambda(cfg, ctx)
     module = None
     if {"modified-twistor", "hat-twistor", "chi-diagram"} & set(wanted):
@@ -319,8 +323,6 @@ def _build_parser():
                              + ", ".join(sorted(CATALOG)) + ")")
         sp.add_argument("--out", help="write JSON here instead of stdout")
         if name != "validate":
-            sp.add_argument("--cache",
-                            help="directory for on-disk Gram caches")
             sp.add_argument("--height", type=int, default=3,
                             help="height bound (default 3, cap "
                                  f"{HEIGHT_CAP})")
@@ -332,6 +334,11 @@ def _build_parser():
         if name == "character":
             sp.add_argument("--pi", choices=["+1", "-1", "both"],
                             default="both")
+            # kept only for the benchmark's character-cached workload
+            sp.add_argument("--cache", metavar="DIR",
+                            help="accepted and ignored; nothing is read, "
+                                 "written or created (kept for the "
+                                 "benchmark's character-cached workload)")
         if name == "verify":
             sp.add_argument("--suite", default="all",
                             choices=list(SUITES) + ["all"])
@@ -362,7 +369,7 @@ def main(argv=None):
         if cfg.lam is not None:
             cfg.lam = _parse_lambda(cfg.lam)
         payload, code = cfg.handler(cfg)
-    except (InputError, GramCacheError) as e:
+    except InputError as e:
         payload, code = {"error": str(e)}, 2
     except TransversalError as e:
         payload, code = {"error": f"datum file is malformed: {e}"}, 2

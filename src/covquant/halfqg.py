@@ -1,9 +1,10 @@
 """The half covering quantum group as free algebra modulo the radical of
 the bilinear form.
 
-Per weight we hold the Gram matrix of the form on words (integer Laurent
-polynomials, one matrix per pi-component), a basis of its kernel (the
-radical), and the complementary pivot words.  Equality and
+Per weight we compute on first use, and hold in memory, the Gram matrix
+of the form on words (integer Laurent polynomials, one matrix per
+pi-component), a basis of its kernel (the radical), and the
+complementary pivot words.  Equality and
 reduction happen per pi-component; the two components must agree on
 dimensions and pivot words, which is asserted.
 
@@ -23,14 +24,11 @@ element's class off it, is its only reader.  The truncated modules are
 built on free words and read none of this.
 """
 
-import hashlib
-import json
-import os
 from math import comb
 
 from . import kernels
 from .cartan import stats_N, stats_p, weight_sub
-from .freealg import FreeAlgebra, FreeElement, render_word
+from .freealg import FreeAlgebra, FreeElement
 from .linalg import RF_ZERO
 from .scalars import (
     PiScalar,
@@ -39,36 +37,6 @@ from .scalars import (
     qbinomial,
     ratfn_to_lp,
 )
-
-_SIGN_KEYS = {1: "plus", -1: "minus"}
-_CACHE_FORMAT = 2
-
-
-class GramCacheError(Exception):
-    """An on-disk Gram cache file is unreadable or fails a check."""
-
-
-def _canonical_json(data):
-    return json.dumps(data, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
-
-
-def _payload_hash(payload):
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def _lp_from_json(cell):
-    """[offset, [coeffs]] -> kernel tuple; None unless trimmed integers."""
-    if not (isinstance(cell, list) and len(cell) == 2
-            and type(cell[0]) is int and isinstance(cell[1], list)
-            and all(type(c) is int for c in cell[1])):
-        return None
-    off, coeffs = cell
-    if coeffs and (coeffs[0] == 0 or coeffs[-1] == 0):
-        return None
-    if not coeffs and off != 0:
-        return None
-    return (off, tuple(coeffs))
 
 
 def serre_coefficient(datum, i, j, k):
@@ -84,12 +52,11 @@ def serre_coefficient(datum, i, j, k):
 class QuotientContext:
     """Caches Gram data per weight for one datum; write-once per key."""
 
-    def __init__(self, datum, root, twist_form, cache_dir=None):
+    def __init__(self, datum, root, twist_form):
         self.datum = datum
         self.root = root
         self.tf = twist_form
         self.free = FreeAlgebra(datum, twist_form)
-        self.cache_dir = cache_dir
         self._pair_memo = {}
         self._words = {}
         self._gram = {}      # nu -> {sign: integer Laurent rows}
@@ -98,13 +65,6 @@ class QuotientContext:
         self._pivots = {}    # nu -> pivot word list
         self._coords = {}    # nu -> {sign: (den, {word: coordinates})}
         self._radical_route = {}  # nu -> "serre" | "fallback"
-        if cache_dir:
-            try:
-                os.makedirs(cache_dir, exist_ok=True)
-            except OSError as e:
-                raise GramCacheError(
-                    f"Gram cache directory {cache_dir}: cannot create "
-                    f"({e})") from None
 
     # --- words and Gram matrices --------------------------------------------
 
@@ -121,97 +81,14 @@ class QuotientContext:
         got = self._gram.get(nu)
         if got is not None:
             return got
-        got = self._load_gram(nu)
-        if got is None:
-            words = self.words(nu)
-            pair = self.free.pair_words
-            memo = self._pair_memo
-            cells = [[pair(w1, w2, memo) for w2 in words] for w1 in words]
-            got = {sign: [[c[t] for c in row] for row in cells]
-                   for t, sign in enumerate(SIGNS)}
-            self._store_gram(nu, got)
+        words = self.words(nu)
+        pair = self.free.pair_words
+        memo = self._pair_memo
+        cells = [[pair(w1, w2, memo) for w2 in words] for w1 in words]
+        got = {sign: [[c[t] for c in row] for row in cells]
+               for t, sign in enumerate(SIGNS)}
         self._gram[nu] = got
         return got
-
-    def _cache_path(self, nu):
-        from .cartan import datum_hash
-        name = datum_hash(self.datum, self.root, self.tf) + "_" + \
-            "-".join(str(c) for c in nu) + ".json"
-        return os.path.join(self.cache_dir, name)
-
-    def _load_gram(self, nu):
-        """The cached Gram matrix at nu, None if there is no file.
-
-        A file is used only if it passes every check; otherwise
-        GramCacheError names the file and the failed check.
-        """
-        if not self.cache_dir:
-            return None
-        path = self._cache_path(nu)
-        if not os.path.exists(path):
-            return None
-
-        def bad(reason):
-            return GramCacheError(f"Gram cache file {path}: {reason}")
-
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise bad(f"unreadable ({e})") from None
-        keys = {"format", "weight", "words", "gram", "sha256"}
-        if not isinstance(data, dict) or set(data) != keys:
-            raise bad(f"not a format-{_CACHE_FORMAT} cache file")
-        if data["format"] != _CACHE_FORMAT:
-            raise bad(f"format {data['format']!r}, expected {_CACHE_FORMAT}")
-        if data["weight"] != list(nu):
-            raise bad("holds the wrong weight")
-        words = [render_word(self.datum, w) for w in self.words(nu)]
-        if data["words"] != words:
-            raise bad("word list does not match the weight's words")
-        gram = data["gram"]
-        n = len(words)
-        if not isinstance(gram, dict) or set(gram) != set(_SIGN_KEYS.values()):
-            raise bad("gram must map plus and minus to matrices")
-        mat = {}
-        for sign in SIGNS:
-            rows = gram[_SIGN_KEYS[sign]]
-            if not (isinstance(rows, list) and len(rows) == n and all(
-                    isinstance(r, list) and len(r) == n for r in rows)):
-                raise bad(f"{_SIGN_KEYS[sign]} matrix is not {n}x{n}")
-            cells = [[_lp_from_json(c) for c in r] for r in rows]
-            if any(c is None for r in cells for c in r):
-                raise bad("a cell is not a trimmed integer Laurent polynomial")
-            if any(cells[a][b] != cells[b][a]
-                   for a in range(n) for b in range(a)):
-                raise bad(f"{_SIGN_KEYS[sign]} matrix is not symmetric")
-            mat[sign] = cells
-        sha = data.pop("sha256")
-        if sha != _payload_hash(data):
-            raise bad("content hash does not match")
-        return mat
-
-    def _store_gram(self, nu, mat):
-        if not self.cache_dir:
-            return
-        data = {
-            "format": _CACHE_FORMAT,
-            "weight": list(nu),
-            "words": [render_word(self.datum, w) for w in self.words(nu)],
-            "gram": {_SIGN_KEYS[sign]: [[[a[0], list(a[1])] for a in row]
-                                        for row in mat[sign]]
-                     for sign in SIGNS},
-        }
-        data["sha256"] = _payload_hash(data)
-        path = self._cache_path(nu)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(_canonical_json(data))
-            os.replace(tmp, path)
-        except OSError as e:
-            raise GramCacheError(
-                f"Gram cache file {path}: cannot write ({e})") from None
 
     # --- radical -----------------------------------------------------------------
 

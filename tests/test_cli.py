@@ -1,17 +1,19 @@
 """End-to-end tests for the covquant command line."""
 
+import argparse
 import hashlib
 import json
-import shutil
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from covquant.catalog import CATALOG
 from covquant import scalars
-from covquant.cli import BRACKET_TERM_CAP, HEIGHT_CAP, main
+from covquant.cli import BRACKET_TERM_CAP, HEIGHT_CAP, _build_parser, main
 
 
 def run_cli(capsys, args):
@@ -160,7 +162,10 @@ def test_bad_root_datum_shape_exits_2(capsys, tmp_path, args, where, value):
     {"1": 0, "2": 1},
     ["1", "1"],
     ["1", 1],
-], ids=["string", "object", "duplicate", "duplicate-as-text"])
+    ["", "2"],
+    ["a", "aa"],
+], ids=["string", "object", "duplicate", "duplicate-as-text", "empty-name",
+        "prefix"])
 def test_bad_indices_exit_2(capsys, tmp_path, args, value):
     code, payload = _run_edited_osp14(capsys, tmp_path, args, ("indices",),
                                       value)
@@ -236,54 +241,38 @@ def test_canonical_embeds_datum_hash(capsys):
     assert payload["config"]["height"] == 2
 
 
-def test_canonical_deterministic_and_cache_invariant(tmp_path):
-    cache = tmp_path / "cache"
+def test_canonical_deterministic(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         assert main(["canonical", "--datum", "osp14", "--height", "4",
-                     "--out", str(out), "--cache", str(cache)]) == 0
+                     "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    assert cache.is_dir() and any(cache.iterdir())
-    shutil.rmtree(cache)
-    out = tmp_path / "c.json"
-    assert main(["canonical", "--datum", "osp14", "--height", "4",
-                 "--out", str(out)]) == 0
-    assert out.read_bytes() == outs[0]
 
 
-def test_validate_rejects_cache(tmp_path):
-    # validate builds no Gram matrix, so --cache is not one of its options
+@pytest.mark.parametrize("args", [["validate"], ["canonical"], ["verify"]],
+                         ids=["validate", "canonical", "verify"])
+def test_validate_rejects_cache(tmp_path, args):
+    # there is no Gram disk cache, so --cache is not one of their options
     cache = tmp_path / "cache"
     with pytest.raises(SystemExit) as err:
-        main(["validate", "--datum", "osp14", "--cache", str(cache)])
+        main(args + ["--datum", "osp14", "--cache", str(cache)])
     assert err.value.code == 2
     assert not cache.exists()
 
 
-def test_cache_path_is_a_file_exits_2(capsys, tmp_path):
-    notadir = tmp_path / "notadir"
-    notadir.write_text("", encoding="utf-8")
-    code, payload = run_cli(capsys, ["canonical", "--datum", "osp14",
-                                     "--height", "2", "--cache", str(notadir)])
-    assert code == 2
-    assert str(notadir) in payload["error"]
-
-
-def test_cache_write_failure_exits_2(capsys, tmp_path):
+def test_character_ignores_cache(tmp_path):
+    argv = ["character", "--datum", "osp14", "--lambda", "2,0",
+            "--height", "6"]
     cache = tmp_path / "cache"
-    argv = ["canonical", "--datum", "osp14", "--height", "2",
-            "--cache", str(cache)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    target, = cache.glob("*_1-1.json")
-    target.unlink()
-    # a directory where the temporary file would go blocks the write
-    (cache / (target.name + ".tmp")).mkdir()
-    code, payload = run_cli(capsys, argv)
-    assert code == 2
-    assert str(target) in payload["error"]
+    outs = []
+    for extra in ([], ["--cache", str(cache)]):
+        out = tmp_path / "out.json"
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert not cache.exists()
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):
@@ -429,6 +418,27 @@ def test_verify_mutate_fails_with_records(capsys):
         assert e["i"] == e["j"]
 
 
+@pytest.mark.parametrize("suite", ["rho-psi", "lattice", "chi-diagram",
+                                   "clubsuit"])
+def test_verify_mutate_without_planted_error_exits_2(capsys, suite):
+    code, payload = run_cli(
+        capsys, ["verify", "--datum", "osp14", "--suite", suite,
+                 "--height", "2", "--mutate"])
+    assert code == 2
+    assert set(payload) == {"error"}
+    assert suite in payload["error"]
+
+
+@pytest.mark.parametrize("suite", ["half-twistor", "modified-twistor",
+                                   "hat-twistor"])
+def test_verify_mutate_fails_planted_suites(capsys, suite):
+    code, payload = run_cli(
+        capsys, ["verify", "--datum", "osp14", "--suite", suite,
+                 "--height", "2", "--mutate"])
+    assert code == 1
+    assert payload["pass"] is False
+
+
 def test_verify_custom_datum_file(capsys, tmp_path):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(CATALOG["osp12_a1"]))
@@ -466,6 +476,19 @@ def test_verify_lambda_flows_to_module(capsys):
     assert code == 0
     report = payload["reports"][0]
     assert report["lambda"] == [0, 1]
+
+
+def test_readme_options_match_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    subparsers, = [a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    registered = {opt for sp in subparsers.choices.values()
+                  for action in sp._actions for opt in action.option_strings
+                  if opt not in ("-h", "--help")}
+    assert documented == registered
 
 
 # --- console script -------------------------------------------------------

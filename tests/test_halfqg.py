@@ -1,7 +1,6 @@
 """Quotient context: Gram matrices, radical, Serre elements, twistor checks."""
 
 import itertools
-import json
 import random
 from collections import Counter
 
@@ -10,7 +9,6 @@ import sympy
 
 from covquant import halfqg, kernels
 from covquant.catalog import all_catalog_names, catalog_datum, finite_catalog_names
-from covquant.cli import main
 from covquant.freealg import FreeElement, render_word
 from covquant.halfqg import QuotientContext, serre_coefficient
 from covquant.scalars import PS_ONE, PS_PI, PiScalar, lp_to_ratfn, \
@@ -546,83 +544,3 @@ def test_serre_rows_match_padded_products(osp14_ctx, nu):
                     el = F.mul(F.mul(F.monomial(u), s), F.monomial(w))
                     want.append(_to_int_rows(el, index))
     assert ctx._serre_span_rows(nu) == want
-
-
-# --- disk cache ---------------------------------------------------------------------
-
-
-def test_gram_disk_cache_roundtrip(tmp_path):
-    datum, root, tf = catalog_datum("osp14")
-    ctx = QuotientContext(datum, root, tf, cache_dir=str(tmp_path))
-    nu = (2, 1)
-    mat = ctx.gram(nu)
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 1
-    blob = files[0].read_bytes()
-    # a fresh context must load the identical matrix without recomputing
-    ctx2 = QuotientContext(datum, root, tf, cache_dir=str(tmp_path))
-    # loading must not touch the pairing, neither entry point nor recursion
-    ctx2.free.pair_words = None
-    ctx2.free._pair_words = None
-    mat2 = ctx2.gram(nu)
-    assert mat2 == mat
-    # rewriting produces byte-identical content
-    ctx3 = QuotientContext(datum, root, tf, cache_dir=str(tmp_path))
-    files[0].unlink()
-    ctx3.gram(nu)
-    assert files[0].read_bytes() == blob
-    data = json.loads(blob)
-    assert data["weight"] == [2, 1]
-    assert len(data["words"]) == 3
-    for key in ("plus", "minus"):
-        assert len(data["gram"][key]) == 3
-
-
-def _halve(path):
-    blob = path.read_bytes()
-    path.write_bytes(blob[:len(blob) // 2])
-
-
-def _edit_json(change):
-    def edit(path):
-        data = json.loads(path.read_text(encoding="utf-8"))
-        change(data)
-        path.write_text(json.dumps(data), encoding="utf-8")
-    return edit
-
-
-def _text_format(path):
-    # the earlier cache format: rendered scalars, no version, no hash
-    path.write_text(json.dumps({
-        "weight": [1, 1],
-        "words": ["θ[1]θ[2]", "θ[2]θ[1]"],
-        "gram": [[{"plus": "1", "minus": "1"}, {"plus": "v^2", "minus": "v^2"}],
-                 [{"plus": "v^2", "minus": "v^2"}, {"plus": "1", "minus": "1"}]],
-    }), encoding="utf-8")
-
-
-@pytest.mark.parametrize("damage", [
-    _halve,
-    _edit_json(lambda d: d["gram"]["plus"][0].__setitem__(0, [0, [2]])),
-    _edit_json(lambda d: d["words"].reverse()),
-    _edit_json(lambda d: d["gram"]["minus"][0].__setitem__(1, [2, [1, 0]])),
-    _edit_json(lambda d: d.__setitem__("format", 1)),
-    _text_format,
-    lambda path: path.write_bytes(b"\xff\xfe"),
-], ids=["halved", "coefficient", "words", "untrimmed", "version",
-        "text-format", "not-utf8"])
-def test_damaged_cache_file_exits_2(capsys, tmp_path, damage):
-    cache = tmp_path / "cache"
-    argv = ["canonical", "--datum", "osp14", "--height", "2",
-            "--cache", str(cache)]
-    assert main(argv) == 0
-    reference = capsys.readouterr().out
-    target, = cache.glob("*_1-1.json")
-    damage(target)
-    code = main(argv)
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert str(target) in payload["error"]
-    target.unlink()
-    assert main(argv) == 0
-    assert capsys.readouterr().out == reference
