@@ -431,9 +431,6 @@ class RootDatum:
                     out[t] += c * self.embX[k][t]
         return tuple(out)
 
-    def dominant(self, lam):
-        return all(self.pair_index(k, lam) >= 0 for k in range(len(self.embY)))
-
     def canonical_dict(self):
         return {
             "rankY": self.rankY,

@@ -4,22 +4,31 @@ lattice-level verification reports.
 
 The lattice L at a weight is the A-span of that weight's f_tilde images,
 where A is the ring of rational functions regular at v = 0 (one copy per
-pi-component).  We keep an explicit echelonized A-basis of L per weight;
-membership, the residue map L -> L/vL, and the crystal dedup all go
-through it.  Pivot-word coordinates alone are not enough: a divided
-power like theta^(2) has pivot coordinate v/(1 + v^2), so its class
-mod vL is invisible there.
+pi-component).  Generation echelonizes the images over A once per sign
+and weight; their coordinates over the echelon rows at v = 0 are their
+classes in L/vL, which the crystal dedup compares.  Pivot-word
+coordinates alone are not enough: a divided power like theta^(2) has
+pivot coordinate v/(1 + v^2), so its class mod vL is invisible there.
+
+A weight's crystal reps r_b are an A-basis of L (their classes span
+L/vL; Nakayama), and the form makes L self-dual: once per sign and
+weight the reps' pairings are certified to be in A and diag(sigma_b =
++-1) mod v.  So x is in L iff every (x, r_b) is in A, and then
+x = sum_b sigma_b (x, r_b)(0) r_b mod vL: n pairings, no elimination.
 """
 
 from .freealg import FreeElement
-from .linalg import solve
+from .linalg import RF_ONE, RF_ZERO, solve
 from .scalars import (
+    G_ONE,
     GaussianRational,
+    LP_ONE,
     LaurentPoly,
     PS_ONE,
     PiScalar,
     RationalFn,
     SIGNS,
+    lp_to_ratfn,
 )
 
 
@@ -137,56 +146,58 @@ def _positive(g):
     return g.im > 0
 
 
-# Not linalg.rref: these two pivot by v-adic valuation over A.
+# Not linalg.rref: this pivots by v-adic valuation over A.
 def _dvr_echelon(rows):
     """Echelonize rows over A (regular at v = 0) by minimal-valuation
-    pivoting.  Returns [(pivot_col, row)] in processing order; every
-    later row vanishes on every earlier pivot column, and all the row
-    operations used stay inside A, so the span over A is preserved."""
-    work = [list(r) for r in rows if any(r)]
-    out = []
+    pivoting, and return each row's coordinates over the echelon rows:
+    the multiplier that cleared it at each step, 1 at its own pivot step
+    and 0 at the others.  Every later row vanishes on every earlier pivot
+    column and every multiplier lies in A, so the echelon rows are an
+    A-basis of the rows' span, one per coordinate."""
+    work = [(k, list(r)) for k, r in enumerate(rows) if any(r)]
+    steps = [{} for _ in rows]
+    rank = 0
     while work:
         best = None
-        for idx, row in enumerate(work):
+        for idx, (_, row) in enumerate(work):
             for col, x in enumerate(row):
                 if x:
                     key = (x.valuation(), col)
                     if best is None or key < best[0]:
                         best = (key, idx)
         (_, col), idx = best
-        prow = work.pop(idx)
+        k, prow = work.pop(idx)
+        steps[k][rank] = RF_ONE
         p = prow[col]
         rest = []
-        for row in work:
+        for j, row in work:
             if row[col]:
                 f = row[col] / p
+                steps[j][rank] = f
                 row = [x - f * y for x, y in zip(row, prow)]
             if any(row):
-                rest.append(row)
+                rest.append((j, row))
         work = rest
-        out.append((col, prow))
-    return out
+        rank += 1
+    return [[m.get(t, RF_ZERO) for t in range(rank)] for m in steps]
 
 
-def _lattice_coords(echelon, vec):
-    """Coordinates of vec over the echelon rows, or None when vec is
-    not in their A-span (a coefficient escapes A or a residual stays)."""
-    w = list(vec)
-    out = []
-    for col, row in echelon:
-        f = w[col] / row[col]
-        if f:
-            if f.valuation() < 0:
-                return None
-            w = [x - f * y for x, y in zip(w, row)]
-        out.append(f)
-    if any(w):
-        return None
-    return out
+def _one_den(vec):
+    """RationalFn entries as LaurentPoly numerators over one denominator,
+    the product of their distinct denominators, and its value at v = 0,
+    nonzero as every factor's is."""
+    nums, den0, seen = [a.num for a in vec], G_ONE, []
+    for d in (a.den for a in vec):
+        if d != LP_ONE and d not in seen:
+            seen.append(d)
+            den0 = den0 * d.coeff(0)
+            nums = [n if a.den == d else n * d for n, a in zip(nums, vec)]
+    return nums, den0
 
 
-def _residue(coords):
-    return tuple(c.evaluate0() for c in coords)
+def _pairing(nums, image):
+    """The numerator sum_w nums[w] image[w] of a pairing."""
+    return sum((a * b for a, b in zip(nums, image) if a and b), LaurentPoly())
 
 
 # Unit pairs (at pi = +1, at pi = -1) by which two residue pairs may
@@ -220,7 +231,7 @@ class CrystalElement:
         self.weight = weight
         self.rep = rep          # canonical pivot-word representative
         self.coords = coords    # PiScalar coordinates over pivot words
-        self.v0 = v0            # (plus, minus) residues over the L-basis
+        self.v0 = v0            # (plus, minus) residues over the echelon
         self.unit = unit        # (sign, pi_exp) applied to canonicalize
 
     def label_text(self, datum):
@@ -245,7 +256,7 @@ class Crystal:
         self.height = height
         self.by_weight = {}
         self.elements = []
-        self._lattice = {}
+        self._duals = {}
         self._canonical = {}
         self._up = {}
         self._generate()
@@ -288,22 +299,15 @@ class Crystal:
             reduced.append((label, pivot_words, coords))
             for s in SIGNS:
                 vectors[s].append([c.specialize(s) for c in coords])
-        echelon = {s: _dvr_echelon(vectors[s]) for s in SIGNS}
-        if len(echelon[1]) != len(echelon[-1]):
+        over = {s: _dvr_echelon(vectors[s]) for s in SIGNS}
+        rank = len(over[1][0])
+        if rank != len(over[-1][0]):
             raise ArithmeticError(
                 f"lattice ranks differ between pi-components at {nu}")
-        self._lattice[nu] = echelon
         bucket = self.by_weight.setdefault(nu, [])
         for t, (label, pivot_words, coords) in enumerate(reduced):
-            v0 = []
-            for s in SIGNS:
-                a = _lattice_coords(echelon[s], vectors[s][t])
-                if a is None:
-                    raise ArithmeticError(
-                        "internal: a lattice generator failed to reduce "
-                        f"against its own echelon basis at weight {nu}")
-                v0.append(_residue(a))
-            v0 = tuple(v0)
+            v0 = tuple(tuple(a.evaluate0() for a in over[s][t])
+                       for s in SIGNS)
             if not any(v0[0]) and not any(v0[1]):
                 raise ArithmeticError(
                     f"f_tilde image fell into vL at weight {nu}")
@@ -317,10 +321,10 @@ class Crystal:
             self.elements.append(el)
         # every candidate is a unit times a class, so the classes span L/vL
         # in each component: they are independent iff they number the rank
-        if len(bucket) != len(echelon[1]):
+        if len(bucket) != rank:
             raise ArithmeticError(
                 f"crystal class count {len(bucket)} differs from the "
-                f"lattice rank {len(echelon[1])} at weight {nu}")
+                f"lattice rank {rank} at weight {nu}")
         return bucket
 
     def _record_edge(self, came_as, child, nu):
@@ -357,22 +361,52 @@ class Crystal:
     def weights(self):
         return sorted(self.by_weight)
 
-    def of_weight(self, nu):
-        return list(self.by_weight.get(tuple(nu), []))
-
-    def lattice_coords(self, x, nu):
-        """Coordinates of x over the weight's L-basis, or None if x is
-        outside the lattice; returns a per-sign pair of lists."""
+    def lattice_residues(self, x, nu):
+        """x's class in L/vL over the weight's crystal reps r_b, per sign
+        the tuple of sigma_b (x, r_b)(0); None when x is outside L, that
+        is when some (x, r_b) has a pole at v = 0."""
         nu = tuple(nu)
-        echelon = self._lattice[nu]
         _, coords = self.ctx.reduce_at(x, nu)
         out = []
         for s in SIGNS:
-            a = _lattice_coords(echelon[s], [c.specialize(s) for c in coords])
-            if a is None:
+            nums, den0 = _one_den([c.specialize(s) for c in coords])
+            pairs = [(_pairing(nums, image), unit)
+                     for image, unit in self._dual(nu, s)]
+            if any(p.valuation() < 0 for p, _ in pairs):
                 return None
-            out.append(a)
+            out.append(tuple(p.coeff(0) * unit / den0 for p, unit in pairs))
         return tuple(out)
+
+    def _dual(self, nu, sign):
+        """Per crystal rep r_b at weight nu and pi = sign: the Gram matrix
+        on the pivot words times r_b's numerators, and sigma_b over r_b's
+        denominator at v = 0.  First certifies that every (r_b, r_b') is
+        in A and is sigma_b = +-1 at v = 0 if b = b', 0 if not."""
+        got = self._duals.get((nu, sign))
+        if got is not None:
+            return got
+        ctx = self.ctx
+        index = {w: t for t, w in enumerate(ctx.words(nu))}
+        piv = [index[w] for w in ctx.pivots(nu)]
+        gram = [[lp_to_ratfn(ctx.gram(nu)[sign][i][j]).num for j in piv]
+                for i in piv]
+        reps = [_one_den([c.specialize(sign) for c in el.coords])
+                for el in self.by_weight.get(nu, [])]
+        images = [[_pairing(row, nums) for row in gram] for nums, _ in reps]
+        got = []
+        for b, (nums, den0) in enumerate(reps):
+            for c, (_, c_den0) in enumerate(reps):
+                p = _pairing(nums, images[c])
+                at0 = p.coeff(0) / (den0 * c_den0)
+                if p.valuation() < 0 or (
+                        at0 not in (G_ONE, -G_ONE) if b == c else at0):
+                    raise ArithmeticError(
+                        f"crystal reps' pairings at weight {nu}, pi = "
+                        f"{sign}, are not diag(+-1) mod v over A")
+                if b == c:
+                    got.append((images[b], at0 / den0))
+        self._duals[(nu, sign)] = got
+        return got
 
     # --- canonical basis -----------------------------------------------
 
@@ -548,9 +582,8 @@ class Crystal:
         if not ctx.equal_in_f(ctx.free.bar(G), G):
             raise ArithmeticError(
                 f"canonical basis element at {nu} is not bar-invariant")
-        diff = self.lattice_coords(G - el.rep, nu)
-        if diff is None or any(
-                a.valuation() < 1 for side in diff for a in side):
+        diff = self.lattice_residues(G - el.rep, nu)
+        if diff is None or any(g for side in diff for g in side):
             raise ArithmeticError(
                 f"canonical basis element at {nu} does not lie over its "
                 "crystal class (difference escapes vL)")
@@ -565,19 +598,23 @@ class Crystal:
         entries = []
         ok = True
         for el in self.elements:
-            img = ctx.free.twistor(el.rep)
-            lat = self.lattice_coords(img, el.weight)
+            res = self.lattice_residues(ctx.free.twistor(el.rep), el.weight)
             match = None
-            if lat is not None:
-                v0 = (_residue(lat[0]), _residue(lat[1]))
-                match = _match_unit(v0, self.by_weight.get(el.weight, []),
-                                    _TWIST_UNITS)
+            if res is not None:
+                # two nonzero residues in all, a unit pair at one rep
+                hit = [k for side in res for k, g in enumerate(side) if g]
+                if len(hit) == 2:
+                    pair = (res[0][hit[0]], res[1][hit[0]])
+                    match = next(
+                        ((key, self.by_weight[el.weight][hit[0]])
+                         for key, units in _TWIST_UNITS if units == pair),
+                        None)
             if match is None:
                 ok = False
                 entries.append({
                     "label": el.label_text(ctx.datum),
                     "weight": list(el.weight),
-                    "in_lattice": lat is not None,
+                    "in_lattice": res is not None,
                     "match": None,
                 })
             else:
@@ -599,7 +636,7 @@ class Crystal:
         ok = True
         for el in self.elements:
             img = ctx.free.rho(el.rep)
-            good = self.lattice_coords(img, el.weight) is not None
+            good = self.lattice_residues(img, el.weight) is not None
             ok = ok and good
             entries.append({
                 "label": el.label_text(ctx.datum),

@@ -102,10 +102,6 @@ def word_weight(word, rank):
     return tuple(counts)
 
 
-def word_parity(word, datum):
-    return sum(datum.parity[k] for k in word) % 2
-
-
 class FreeAlgebra:
     """Operation bundle for a fixed datum and twist form."""
 
@@ -144,12 +140,6 @@ class FreeAlgebra:
             (w1 + w2, c1 * c2 * PiScalar.t_power(
                 phi(word_weight(w1, rank), word_weight(w2, rank))))
             for w1, c1 in x.terms.items() for w2, c2 in y.terms.items())
-
-    def power(self, x, n):
-        acc = self.one()
-        for _ in range(n):
-            acc = self.mul(acc, x)
-        return acc
 
     def divided_power(self, k, n):
         """theta_k^n / <n>!_{v_k, pi_k}."""

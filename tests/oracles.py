@@ -1,9 +1,9 @@
 """Independent oracles used to freeze derived test values.
 
-Everything here is deliberately written against sympy, with direct
-formulas and none of the package's own arithmetic, so that a bug in the
-package cannot cancel against the same bug in a test.  The package must
-never import this module.
+Everything here but the echelon route at the end is deliberately written
+against sympy, with direct formulas and none of the package's own
+arithmetic, so that a bug in the package cannot cancel against the same
+bug in a test.  The package must never import this module.
 """
 
 import sympy
@@ -230,3 +230,112 @@ def b_module_depth(n, lam):
     depth = sum(_b_simple_coords(n, [2 * a for a in _b_weight_e(n, lam)]))
     assert depth.denominator == 1, depth
     return int(depth)
+
+
+# --- the echelon route to the crystal lattice --------------------------------
+#
+# The lattice checks' former route, kept as the reference for the pairing
+# route that replaced it: L at a weight is echelonized over A from the
+# f_tilde images of the crystal reps one height below, and membership and
+# residues replay the echelon's row operations.  Unlike the rest of this
+# module it computes with covquant's own scalars and unit matcher.
+
+
+def dvr_echelon_rows(rows):
+    """[(pivot_col, row)] in processing order: an A-basis of the rows'
+    span, found by minimal-valuation pivoting."""
+    work = [list(r) for r in rows if any(r)]
+    out = []
+    while work:
+        best = None
+        for idx, row in enumerate(work):
+            for col, x in enumerate(row):
+                if x:
+                    key = (x.valuation(), col)
+                    if best is None or key < best[0]:
+                        best = (key, idx)
+        (_, col), idx = best
+        prow = work.pop(idx)
+        rest = []
+        for row in work:
+            if row[col]:
+                f = row[col] / prow[col]
+                row = [x - f * y for x, y in zip(row, prow)]
+            if any(row):
+                rest.append(row)
+        work = rest
+        out.append((col, prow))
+    return out
+
+
+def lattice_coords(echelon, vec):
+    """Coordinates of vec over the echelon rows, or None when vec is
+    not in their A-span (a coefficient escapes A or a residual stays)."""
+    w = list(vec)
+    out = []
+    for col, row in echelon:
+        f = w[col] / row[col]
+        if f:
+            if f.valuation() < 0:
+                return None
+            w = [x - f * y for x, y in zip(w, row)]
+        out.append(f)
+    if any(w):
+        return None
+    return out
+
+
+def echelon_lattice_reports(crystal):
+    """The crystal's Psi and rho lattice reports, by the echelon route."""
+    from types import SimpleNamespace
+
+    from covquant.crystal import _TWIST_UNITS, _match_unit, f_tilde
+    from covquant.scalars import SIGNS
+
+    ctx = crystal.ctx
+    rank = ctx.datum.rank
+    images = {(0,) * rank: [ctx.free.one()]}
+    for el in crystal.elements:
+        if sum(el.weight) < crystal.height:
+            for i in range(rank):
+                nu = tuple(a + (k == i) for k, a in enumerate(el.weight))
+                images.setdefault(nu, []).append(f_tilde(ctx, i, el.rep))
+    lattice = {}
+    for nu, xs in images.items():
+        coords = [ctx.reduce_at(x, nu)[1] for x in xs]
+        lattice[nu] = {s: dvr_echelon_rows([[c.specialize(s) for c in cs]
+                                            for cs in coords])
+                       for s in SIGNS}
+
+    def residues(x, nu):
+        _, coords = ctx.reduce_at(x, nu)
+        out = []
+        for s in SIGNS:
+            a = lattice_coords(lattice[nu][s],
+                               [c.specialize(s) for c in coords])
+            if a is None:
+                return None
+            out.append(tuple(c.evaluate0() for c in a))
+        return tuple(out)
+
+    psi, rho = [], []
+    for el in crystal.elements:
+        nu = el.weight
+        head = {"label": el.label_text(ctx.datum), "weight": list(nu)}
+        bucket = [SimpleNamespace(v0=residues(b.rep, nu), b=b)
+                  for b in crystal.by_weight[nu]]
+        v0 = residues(ctx.free.twistor(el.rep), nu)
+        match = None if v0 is None else _match_unit(v0, bucket, _TWIST_UNITS)
+        if match is None:
+            psi.append({**head, "in_lattice": v0 is not None, "match": None})
+        else:
+            (a, b), target = match
+            psi.append({**head, "in_lattice": True, "ell_mod4": a,
+                        "pi_power": b,
+                        "target": target.b.label_text(ctx.datum)})
+        rho.append({**head, "in_lattice":
+                    residues(ctx.free.rho(el.rep), nu) is not None})
+    return ({"height": crystal.height, "entries": psi,
+             "pass": all("target" in e for e in psi)},
+            {"height": crystal.height, "entries": rho,
+             "pass": all(e["in_lattice"] for e in rho)})

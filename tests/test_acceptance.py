@@ -83,9 +83,9 @@ def test_a3_canonical_basis_triple(ctxs, crystal14):
     for nu in crystal14.weights():
         for el in crystal14.canonical_basis(nu):
             assert ctx.equal_in_f(F.bar(el.G), el.G), (nu, el.ell)
-            diff = crystal14.lattice_coords(el.G - el.b.rep, nu)
+            diff = crystal14.lattice_residues(el.G - el.b.rep, nu)
             assert diff is not None
-            assert all(a.valuation() >= 1 for side in diff for a in side)
+            assert not any(g for side in diff for g in side)
             assert isinstance(el.ell, int)
             _, gc = ctx.reduce_at(el.G, nu)
             _, pc = ctx.reduce_at(F.twistor(el.G), nu)
@@ -99,17 +99,22 @@ def test_a3_canonical_basis_triple(ctxs, crystal14):
 
 def test_a4_lattice_stability(ctxs, crystal14):
     """Twistor stability of the crystal lattice and rho stability of L,
-    with the two base exponents spelled out."""
+    on osp14 through height 6 and on osp16 and affine_b01 through height
+    5, with the two base exponents spelled out."""
     psi = crystal14.verify_psi_lattice()
     rho = crystal14.verify_rho_lattice()
     assert psi["pass"] and rho["pass"]
     assert len(psi["entries"]) == len(rho["entries"]) >= 60
+    for name in ("osp16", "affine_b01"):
+        crystal = Crystal(ctxs[name], 5)
+        assert crystal.verify_psi_lattice()["pass"], name
+        assert crystal.verify_rho_lattice()["pass"], name
     top = next(e for e in crystal14.canonical_basis(weight_zero(2)))
     assert top.ell % 4 == 0
     assert PS_ONE.twist() == PS_ONE
     assert PS_PI.twist() == PiScalar.t_power(2) * PS_PI
-    print("PASS: a4 lattice stability through height 6, base exponents "
-          "0 and 2")
+    print("PASS: a4 lattice stability, osp14 through height 6, osp16 and "
+          "affine_b01 through height 5, base exponents 0 and 2")
 
 
 def test_a5_rho_twistor_sign_formula(ctxs):

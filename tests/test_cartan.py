@@ -177,16 +177,6 @@ def test_affine_root_datum_gets_degree_coordinate():
     assert finite_root.rankX == finite.rank
 
 
-def test_dominant():
-    datum, root, _ = catalog_datum("osp12")
-    assert root.dominant((0,))
-    assert root.dominant((3,))
-    assert not root.dominant((-1,))
-    datum4, root4, _ = catalog_datum("osp14")
-    assert root4.dominant((2, 0))
-    assert not root4.dominant((2, -1))
-
-
 def test_decompose_roundtrip_and_canonical():
     rng = random.Random(55)
     for name in all_catalog_names():

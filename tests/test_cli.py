@@ -458,7 +458,7 @@ def test_verify_unknown_suite_rejected():
 @pytest.mark.parametrize("suite,lam,message", [
     ("clubsuit", "1,2,3,4", "--lambda needs 2 coordinates, got 4"),
     ("rho-psi", "9999,0", "bracket term budget"),
-])
+], ids=["clubsuit-coordinates", "rho-psi-budget"])
 def test_verify_checks_lambda_without_a_module_suite(capsys, suite, lam,
                                                      message):
     code, payload = run_cli(
@@ -467,6 +467,30 @@ def test_verify_checks_lambda_without_a_module_suite(capsys, suite, lam,
     assert code == 2
     assert set(payload) == {"error"}
     assert message in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--datum", "osp14", "--suite", "lattice", "--height", "2"],
+    ["canonical", "--datum", "osp14", "--height", "2"],
+], ids=["verify-lattice", "canonical"])
+def test_failing_lattice_certificate_exits_1(capsys, monkeypatch, argv):
+    # plant r_a + v^-1 r_b as a crystal rep at weight (1, 1): the reps'
+    # pairings get a pole, and the run must end in a JSON error
+    from covquant import crystal
+    generate = crystal.Crystal._generate
+
+    def planted(self):
+        generate(self)
+        a, b = self.by_weight[(1, 1)]
+        a.coords = [x + y * scalars.PiScalar.v_power(-1)
+                    for x, y in zip(a.coords, b.coords)]
+
+    monkeypatch.setattr(crystal.Crystal, "_generate", planted)
+    code, payload = run_cli(capsys, argv)
+    assert code == 1
+    assert payload == {"error": "computation failed: crystal reps' pairings "
+                                "at weight (1, 1), pi = 1, are not "
+                                "diag(+-1) mod v over A"}
 
 
 def test_verify_lambda_flows_to_module(capsys):
@@ -576,12 +600,12 @@ def test_golden_output_digest(tmp_path, argv, code, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# RationalFn constructions of one in-process run each: canonical as
-# recorded when reduce_at started reading the class-coordinate table
-# (6068 before), verify and character since the module is built on free
-# words (verify 4515 and character 5330 before)
-VERIFY_OSP14_H3_RATFN_COUNT = 4368
-CANONICAL_OSP14_H4_RATFN_COUNT = 4782
+# RationalFn constructions of one in-process run each: verify and
+# canonical since the lattice is read through the form (4368 and 4782
+# before, with a second v-adic elimination), character since the module
+# is built on free words (5330 before)
+VERIFY_OSP14_H3_RATFN_COUNT = 3758
+CANONICAL_OSP14_H4_RATFN_COUNT = 3936
 CHARACTER_OSP14_H6_RATFN_COUNT = 839
 
 

@@ -3,7 +3,9 @@
 from types import SimpleNamespace
 
 import pytest
+import sympy
 
+from covquant.cartan import stats_p
 from covquant.catalog import catalog_datum
 from covquant.crystal import (
     _SIGN_UNITS,
@@ -17,6 +19,14 @@ from covquant.crystal import (
 )
 from covquant.halfqg import QuotientContext
 from covquant.scalars import PS_ONE, PS_PI, GaussianRational, PiScalar
+
+from oracles import (
+    PI,
+    V,
+    echelon_lattice_reports,
+    pair_words_oracle,
+    ratfn_to_sympy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +132,7 @@ def test_counts_match_dimensions(osp14_ctx, osp14_cr4):
     assert len(osp14_cr4.elements) == 25
     assert len(osp14_cr4.weights()) == 15
     for nu in osp14_cr4.weights():
-        assert len(osp14_cr4.of_weight(nu)) == osp14_ctx.dimension(nu), nu
+        assert len(osp14_cr4.by_weight[nu]) == osp14_ctx.dimension(nu), nu
 
 
 def test_reps_live_in_lattice(osp14_cr4):
@@ -135,24 +145,115 @@ def test_lattice_membership_controls(osp14_ctx, osp14_cr4):
     F = osp14_ctx.free
     t1 = F.theta(0)
     # v^-1 theta_1 escapes the lattice
-    assert osp14_cr4.lattice_coords(t1.scale(v_pow(-1)), (1, 0)) is None
-    assert osp14_cr4.lattice_coords(t1, (1, 0)) is not None
+    assert osp14_cr4.lattice_residues(t1.scale(v_pow(-1)), (1, 0)) is None
+    assert osp14_cr4.lattice_residues(t1, (1, 0)) is not None
     # theta_1^(2) is a member even though its pivot coordinate v/(1+v^2)
     # is not a Laurent polynomial
-    assert osp14_cr4.lattice_coords(F.divided_power(0, 2), (2, 0)) is not None
+    assert osp14_cr4.lattice_residues(
+        F.divided_power(0, 2), (2, 0)) is not None
 
 
 def test_dependent_candidates_break_the_class_count(osp14_ctx, osp14_cr3):
     # negative control: b1 + b2 is no unit multiple of either class, so
     # it is kept as a third class in a rank-2 lattice and the count check
     # must catch the dependency
-    b1, b2 = (el.rep for el in osp14_cr3.of_weight((1, 1)))
+    b1, b2 = (el.rep for el in osp14_cr3.by_weight[(1, 1)])
     assert len(Crystal(osp14_ctx, 1)._process_weight(
         (1, 1), [((), b1), ((), b2)])) == 2
     with pytest.raises(ArithmeticError, match="class count 3 differs from "
                        "the lattice rank 2"):
         Crystal(osp14_ctx, 1)._process_weight(
             (1, 1), [((), b1), ((), b2), ((), b1 + b2)])
+
+
+def test_certificate_rejects_a_rep_off_the_lattice(osp14_ctx):
+    # negative control: r_a + v^-1 r_b leaves L, so the reps' pairings
+    # get a pole and the certificate must refuse every later query
+    cr = Crystal(osp14_ctx, 3)
+    a, b = cr.by_weight[(1, 1)]
+    a.coords = [x + y * v_pow(-1) for x, y in zip(a.coords, b.coords)]
+    with pytest.raises(ArithmeticError, match=r"not diag\(\+-1\) mod v"):
+        cr.lattice_residues(b.rep, (1, 1))
+
+
+def test_certificate_rejects_reps_off_the_diagonal(osp14_ctx):
+    # negative control: r_b -> (3 r_a + 4 r_b)/5 keeps L and, at pi = +1
+    # where both reps pair to 1, the diagonal, but (r_a, r_b)(0) = 3/5
+    cr = Crystal(osp14_ctx, 3)
+    a, b = cr.by_weight[(1, 1)]
+    c3, c4 = (PiScalar.from_int(k) / PiScalar.from_int(5) for k in (3, 4))
+    b.coords = [x * c3 + y * c4 for x, y in zip(a.coords, b.coords)]
+    with pytest.raises(ArithmeticError, match=r"pi = 1, are not diag"):
+        cr.lattice_residues(a.rep, (1, 1))
+
+
+def test_psi_match_wants_one_residue_at_one_rep(osp14_ctx, monkeypatch):
+    cr = Crystal(osp14_ctx, 2)
+    one, zero = GaussianRational(1), GaussianRational(0)
+    for res, matched in [(((one, zero), (one, zero)), True),
+                         (((one, zero), (zero, one)), False),
+                         (((one, one), (one, zero)), False)]:
+        monkeypatch.setattr(cr, "lattice_residues", lambda x, nu, r=res: r)
+        report = cr.verify_psi_lattice()
+        (a, b) = (e for e in report["entries"] if e["weight"] == [1, 1])
+        assert ("target" in a) is ("target" in b) is matched
+        assert report["pass"] is matched
+
+
+def test_residues_of_the_reps_are_unit_vectors(osp14_cr4):
+    one, zero = GaussianRational(1), GaussianRational(0)
+    for nu in osp14_cr4.weights():
+        reps = osp14_cr4.by_weight[nu]
+        for k, el in enumerate(reps):
+            unit = tuple(one if j == k else zero for j in range(len(reps)))
+            assert osp14_cr4.lattice_residues(el.rep, nu) == (unit, unit)
+
+
+def _pairing_at_zero(datum, x, y, sign):
+    """(x, y) at v = 0 and pi = sign, from pair_words_oracle; asserts
+    that it has no pole there."""
+    def terms(z):
+        return [(w, ratfn_to_sympy(c.specialize(sign)))
+                for w, c in z.terms.items()]
+    total = sum(a * b * pair_words_oracle(datum, w, u).subs(PI, sign)
+                for w, a in terms(x) for u, b in terms(y))
+    num, den = sympy.fraction(sympy.cancel(sympy.together(total)))
+    assert den.subs(V, 0) != 0
+    return num.subs(V, 0) / den.subs(V, 0)
+
+
+def _sign_rule_holds(cr, flip=1):
+    """(r_b, r_b') is in A and, at v = 0, 0 for b != b' and, for b = b',
+    1 at pi = +1 and (-1)^(p(nu) + ell(b)) at pi = -1; flip=-1 predicts
+    the opposite sign at pi = -1."""
+    datum = cr.ctx.datum
+    for nu in cr.weights():
+        cb = cr.canonical_basis(nu)
+        for e in cb:
+            want = {1: 1, -1: flip * (-1) ** (stats_p(datum, nu) + e.ell)}
+            for f in cb:
+                for sign in (1, -1):
+                    got = _pairing_at_zero(datum, e.b.rep, f.b.rep, sign)
+                    if got != (want[sign] if f is e else 0):
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("name, height", [("osp14", 4), ("osp16", 3),
+                                          ("affine_b01", 3)])
+def test_self_pairing_sign_rule(name, height):
+    cr = Crystal(QuotientContext(*catalog_datum(name)), height)
+    assert _sign_rule_holds(cr)
+    assert not _sign_rule_holds(cr, flip=-1)
+
+
+@pytest.mark.parametrize("name, height", [("osp14", 5), ("osp16", 4),
+                                          ("affine_b01", 4)])
+def test_lattice_reports_match_echelon_oracle(name, height):
+    cr = Crystal(QuotientContext(*catalog_datum(name)), height)
+    psi, rho = echelon_lattice_reports(cr)
+    assert cr.verify_psi_lattice() == psi
+    assert cr.verify_rho_lattice() == rho
 
 
 def test_generation_is_deterministic(osp14_ctx):
@@ -205,9 +306,9 @@ def test_canonical_basis_public_invariants(osp14_ctx, osp14_cr4):
     ctx = osp14_ctx
     for e in osp14_cr4.canonical_basis((2, 1)):
         assert ctx.equal_in_f(ctx.free.bar(e.G), e.G)
-        diff = osp14_cr4.lattice_coords(e.G - e.b.rep, (2, 1))
+        diff = osp14_cr4.lattice_residues(e.G - e.b.rep, (2, 1))
         assert diff is not None
-        assert all(a.valuation() >= 1 for side in diff for a in side)
+        assert not any(g for side in diff for g in side)
 
 
 def test_adapted_word_regression_weight_32(osp14_ctx):
