@@ -4,21 +4,23 @@ lattice-level verification reports.
 
 The lattice L at a weight is the A-span of that weight's f_tilde images,
 where A is the ring of rational functions regular at v = 0 (one copy per
-pi-component).  Generation echelonizes the images over A once per sign
-and weight; their coordinates over the echelon rows at v = 0 are their
-classes in L/vL, which the crystal dedup compares.  Pivot-word
-coordinates alone are not enough: a divided power like theta^(2) has
-pivot coordinate v/(1 + v^2), so its class mod vL is invisible there.
+pi-component).  The form makes L self-dual (Kashiwara's polarization of
+L(infinity)), so generation reads it through pairings and eliminates
+nothing.  Pivot-word coordinates alone are not enough: a divided power
+like theta^(2) has pivot coordinate v/(1 + v^2), so its class mod vL is
+invisible there.
 
-A weight's crystal reps r_b are an A-basis of L (their classes span
-L/vL; Nakayama), and the form makes L self-dual: once per sign and
-weight the reps' pairings are certified to be in A and diag(sigma_b =
-+-1) mod v.  So x is in L iff every (x, r_b) is in A, and then
-x = sum_b sigma_b (x, r_b)(0) r_b mod vL: n pairings, no elimination.
+Per sign and weight, generation takes the images in order; one whose
+pairings with the crystal reps found so far all vanish at v = 0 is a new
+rep r_b, and its self-pairing must be sigma_b = +-1 mod v.  Every image
+must pair into A with every rep, as a sign unit at exactly one rep, and
+there must be dim f_nu reps: then the reps are an A-basis of L.  So x is
+in L iff every (x, r_b) is in A, and then x = sum_b sigma_b (x, r_b)(0)
+r_b mod vL: n pairings, no elimination.
 """
 
 from .freealg import FreeElement
-from .linalg import RF_ONE, RF_ZERO, solve
+from .linalg import solve
 from .scalars import (
     G_ONE,
     GaussianRational,
@@ -139,49 +141,6 @@ def _bar_complete(bad, sign):
     return LaurentPoly.from_maps(complete(bad.re), complete(bad.im))
 
 
-def _positive(g):
-    """Deterministic positivity for a nonzero GaussianRational."""
-    if g.re != 0:
-        return g.re > 0
-    return g.im > 0
-
-
-# Not linalg.rref: this pivots by v-adic valuation over A.
-def _dvr_echelon(rows):
-    """Echelonize rows over A (regular at v = 0) by minimal-valuation
-    pivoting, and return each row's coordinates over the echelon rows:
-    the multiplier that cleared it at each step, 1 at its own pivot step
-    and 0 at the others.  Every later row vanishes on every earlier pivot
-    column and every multiplier lies in A, so the echelon rows are an
-    A-basis of the rows' span, one per coordinate."""
-    work = [(k, list(r)) for k, r in enumerate(rows) if any(r)]
-    steps = [{} for _ in rows]
-    rank = 0
-    while work:
-        best = None
-        for idx, (_, row) in enumerate(work):
-            for col, x in enumerate(row):
-                if x:
-                    key = (x.valuation(), col)
-                    if best is None or key < best[0]:
-                        best = (key, idx)
-        (_, col), idx = best
-        k, prow = work.pop(idx)
-        steps[k][rank] = RF_ONE
-        p = prow[col]
-        rest = []
-        for j, row in work:
-            if row[col]:
-                f = row[col] / p
-                steps[j][rank] = f
-                row = [x - f * y for x, y in zip(row, prow)]
-            if any(row):
-                rest.append((j, row))
-        work = rest
-        rank += 1
-    return [[m.get(t, RF_ZERO) for t in range(rank)] for m in steps]
-
-
 def _one_den(vec):
     """RationalFn entries as LaurentPoly numerators over one denominator,
     the product of their distinct denominators, and its value at v = 0,
@@ -200,9 +159,20 @@ def _pairing(nums, image):
     return sum((a * b for a, b in zip(nums, image) if a and b), LaurentPoly())
 
 
-# Unit pairs (at pi = +1, at pi = -1) by which two residue pairs may
-# differ, each with the key a match reports: a sign per pi-component, and
-# t^a pi^b, which is t^a at pi = +1 and t^(a + 2b) at pi = -1.
+def _residues(nums, den0, dual):
+    """sigma_b (x, r_b)(0) for each (image of r_b, sigma_b over r_b's
+    denominator at v = 0) in dual, from x's numerators and denominator
+    at v = 0; None when some (x, r_b) has a pole at v = 0."""
+    pairs = [(_pairing(nums, image), unit) for image, unit in dual]
+    if any(p.valuation() < 0 for p, _ in pairs):
+        return None
+    return tuple(p.coeff(0) * unit / den0 for p, unit in pairs)
+
+
+# Unit pairs (at pi = +1, at pi = -1) by which a residue pair may differ
+# from a rep's own, each with the key a match reports: a sign per
+# pi-component, and t^a pi^b, which is t^a at pi = +1 and t^(a + 2b) at
+# pi = -1.
 _SIGN_UNITS = tuple(((s, r), (GaussianRational(s), GaussianRational(r)))
                     for s in (1, -1) for r in (1, -1))
 _TWIST_UNITS = tuple(((a, b), (GaussianRational.t_power(a),
@@ -210,29 +180,29 @@ _TWIST_UNITS = tuple(((a, b), (GaussianRational.t_power(a),
                      for a in range(4) for b in range(2))
 
 
-def _match_unit(v0, candidates, units):
-    """The first (key, element), over candidates and then units, with
-    v0 = unit * element.v0 in each pi-component; None if there is none."""
-    for el in candidates:
-        for key, pair in units:
-            if all(all(g * u == h for g, h in zip(side, want))
-                   for side, u, want in zip(el.v0, pair, v0)):
-                return key, el
-    return None
+def _unit_at(res, units):
+    """(key, k) when the residue pair res, per sign a tuple over the reps,
+    is the unit pair of key at rep k and 0 at every other rep; None if it
+    is not."""
+    hit = [k for side in res for k, g in enumerate(side) if g]
+    if len(hit) != 2:
+        return None
+    pair = (res[0][hit[0]], res[1][hit[0]])
+    return next(((key, hit[0]) for key, u in units if u == pair), None)
 
 
 class CrystalElement:
-    """A signed-canonicalized crystal class with its lattice representative."""
+    """A crystal class b with its lattice representative r_b, the class's
+    first f_tilde image f_tilde_{i1} ... f_tilde_{ik} 1 for the label
+    (i1, ..., ik), unscaled."""
 
-    __slots__ = ("label", "weight", "rep", "coords", "v0", "unit")
+    __slots__ = ("label", "weight", "rep", "coords")
 
-    def __init__(self, label, weight, rep, coords, v0, unit):
+    def __init__(self, label, weight, rep, coords):
         self.label = label
         self.weight = weight
-        self.rep = rep          # canonical pivot-word representative
+        self.rep = rep          # pivot-word representative
         self.coords = coords    # PiScalar coordinates over pivot words
-        self.v0 = v0            # (plus, minus) residues over the echelon
-        self.unit = unit        # (sign, pi_exp) applied to canonicalize
 
     def label_text(self, datum):
         return "".join(datum.indices[k] for k in self.label)
@@ -286,45 +256,71 @@ class Crystal:
                     shell.setdefault(nu, []).append(((i,) + el.label, img))
 
     def _process_weight(self, nu, candidates):
+        """The crystal classes at nu from its f_tilde images (label, x),
+        through the form on the pivot words.  A candidate whose pairings
+        with the reps so far all vanish at v = 0 is a new rep, and its
+        self-pairing must be +-1 mod v over A.  Then every candidate must
+        pair into A with every rep, as a sign unit at exactly one rep,
+        where its f_tilde edge goes, and the reps must number dim f_nu.
+        So their pairing matrix is in GL_n(A) and diag(+-1) mod v, and
+        they are an A-basis of L: every candidate's coordinates over them
+        are that matrix's inverse times its pairings, in A."""
         ctx = self.ctx
-        vectors = {s: [] for s in SIGNS}
-        reduced = []
-        for label, el in candidates:
-            pivot_words, coords = ctx.reduce_at(el, nu)
-            for c in coords:
-                if not c.in_lattice():
-                    raise ArithmeticError(
-                        "a crystal generator has a pole at v = 0 in pivot "
-                        f"coordinates at weight {nu}")
-            reduced.append((label, pivot_words, coords))
-            for s in SIGNS:
-                vectors[s].append([c.specialize(s) for c in coords])
-        over = {s: _dvr_echelon(vectors[s]) for s in SIGNS}
-        rank = len(over[1][0])
-        if rank != len(over[-1][0]):
-            raise ArithmeticError(
-                f"lattice ranks differ between pi-components at {nu}")
-        bucket = self.by_weight.setdefault(nu, [])
-        for t, (label, pivot_words, coords) in enumerate(reduced):
-            v0 = tuple(tuple(a.evaluate0() for a in over[s][t])
-                       for s in SIGNS)
-            if not any(v0[0]) and not any(v0[1]):
+        index = {w: t for t, w in enumerate(ctx.words(nu))}
+        piv = [index[w] for w in ctx.pivots(nu)]
+        grams = {s: [[lp_to_ratfn(ctx.gram(nu)[s][i][j]).num for j in piv]
+                     for i in piv] for s in SIGNS}
+        duals = {s: [] for s in SIGNS}
+
+        def residues(sides, s, start):
+            got = _residues(*sides[s], duals[s][start:])
+            if got is None:
                 raise ArithmeticError(
-                    f"f_tilde image fell into vL at weight {nu}")
-            match = _match_unit(v0, bucket, _SIGN_UNITS)
-            if match is not None:
-                self._record_edge(label, match[1].label, nu)
+                    f"an f_tilde image at weight {nu}, pi = {s}, pairs "
+                    "with a crystal rep outside A")
+            return got
+
+        bucket, seen = [], []
+        for label, x in candidates:
+            pivot_words, coords = ctx.reduce_at(x, nu)
+            if not all(c.in_lattice() for c in coords):
+                raise ArithmeticError(
+                    "a crystal generator has a pole at v = 0 in pivot "
+                    f"coordinates at weight {nu}")
+            sides = {s: _one_den([c.specialize(s) for c in coords])
+                     for s in SIGNS}
+            res = {s: residues(sides, s, 0) for s in SIGNS}
+            seen.append((label, sides, res))
+            if any(any(r) for r in res.values()):
                 continue
-            el = self._canonicalized(label, nu, pivot_words, coords, v0)
-            self._record_edge(label, el.label, nu)
-            bucket.append(el)
-            self.elements.append(el)
-        # every candidate is a unit times a class, so the classes span L/vL
-        # in each component: they are independent iff they number the rank
-        if len(bucket) != rank:
+            for s in SIGNS:
+                nums, den0 = sides[s]
+                image = [_pairing(row, nums) for row in grams[s]]
+                p = _pairing(nums, image)
+                sigma = p.coeff(0) / (den0 * den0)
+                if p.valuation() < 0 or sigma not in (G_ONE, -G_ONE):
+                    raise ArithmeticError(
+                        f"a crystal rep's self-pairing at weight {nu}, pi = "
+                        f"{s}, is not +-1 mod v over A")
+                duals[s].append((image, sigma / den0))
+            rep = FreeElement(dict(zip(pivot_words, coords)))
+            bucket.append(CrystalElement(label, nu, rep, coords))
+        if len(bucket) != ctx.dimension(nu):
             raise ArithmeticError(
-                f"crystal class count {len(bucket)} differs from the "
-                f"lattice rank {rank} at weight {nu}")
+                f"crystal class count {len(bucket)} differs from dim f_nu "
+                f"{ctx.dimension(nu)} at weight {nu}")
+        for label, sides, res in seen:
+            for s in SIGNS:
+                res[s] += residues(sides, s, len(res[s]))
+            hit = _unit_at((res[1], res[-1]), _SIGN_UNITS)
+            if hit is None:
+                raise ArithmeticError(
+                    f"an f_tilde image at weight {nu} is no sign unit "
+                    "times one crystal class")
+            self._record_edge(label, bucket[hit[1]].label, nu)
+        self.by_weight[nu] = bucket
+        self.elements.extend(bucket)
+        self._duals[nu] = duals
         return bucket
 
     def _record_edge(self, came_as, child, nu):
@@ -339,23 +335,6 @@ class Crystal:
             raise ArithmeticError(
                 f"two crystal classes share an f_tilde image at weight {nu}")
 
-    def _canonicalized(self, label, nu, pivot_words, coords, v0):
-        sign = 1
-        lead_plus = next((g for g in v0[0] if g), None)
-        if lead_plus is not None and not _positive(lead_plus):
-            sign = -1
-        pi_exp = 0
-        lead_minus = next(
-            (g if sign == 1 else -g for g in v0[1] if g), None)
-        if lead_minus is not None and not _positive(lead_minus):
-            pi_exp = 1
-        unit = PiScalar.from_int(sign) * PiScalar.pi_power(pi_exp)
-        coords = [c * unit for c in coords]
-        v0 = (tuple(g * sign for g in v0[0]),
-              tuple(g * sign * (-1 if pi_exp else 1) for g in v0[1]))
-        rep = FreeElement(dict(zip(pivot_words, coords)))
-        return CrystalElement(label, nu, rep, coords, v0, (sign, pi_exp))
-
     # --- accessors -------------------------------------------------------
 
     def weights(self):
@@ -369,44 +348,12 @@ class Crystal:
         _, coords = self.ctx.reduce_at(x, nu)
         out = []
         for s in SIGNS:
-            nums, den0 = _one_den([c.specialize(s) for c in coords])
-            pairs = [(_pairing(nums, image), unit)
-                     for image, unit in self._dual(nu, s)]
-            if any(p.valuation() < 0 for p, _ in pairs):
+            got = _residues(*_one_den([c.specialize(s) for c in coords]),
+                            self._duals[nu][s])
+            if got is None:
                 return None
-            out.append(tuple(p.coeff(0) * unit / den0 for p, unit in pairs))
+            out.append(got)
         return tuple(out)
-
-    def _dual(self, nu, sign):
-        """Per crystal rep r_b at weight nu and pi = sign: the Gram matrix
-        on the pivot words times r_b's numerators, and sigma_b over r_b's
-        denominator at v = 0.  First certifies that every (r_b, r_b') is
-        in A and is sigma_b = +-1 at v = 0 if b = b', 0 if not."""
-        got = self._duals.get((nu, sign))
-        if got is not None:
-            return got
-        ctx = self.ctx
-        index = {w: t for t, w in enumerate(ctx.words(nu))}
-        piv = [index[w] for w in ctx.pivots(nu)]
-        gram = [[lp_to_ratfn(ctx.gram(nu)[sign][i][j]).num for j in piv]
-                for i in piv]
-        reps = [_one_den([c.specialize(sign) for c in el.coords])
-                for el in self.by_weight.get(nu, [])]
-        images = [[_pairing(row, nums) for row in gram] for nums, _ in reps]
-        got = []
-        for b, (nums, den0) in enumerate(reps):
-            for c, (_, c_den0) in enumerate(reps):
-                p = _pairing(nums, images[c])
-                at0 = p.coeff(0) / (den0 * c_den0)
-                if p.valuation() < 0 or (
-                        at0 not in (G_ONE, -G_ONE) if b == c else at0):
-                    raise ArithmeticError(
-                        f"crystal reps' pairings at weight {nu}, pi = "
-                        f"{sign}, are not diag(+-1) mod v over A")
-                if b == c:
-                    got.append((images[b], at0 / den0))
-        self._duals[(nu, sign)] = got
-        return got
 
     # --- canonical basis -----------------------------------------------
 
@@ -420,8 +367,11 @@ class Crystal:
         itself; the +-1/+-pi unit the monomial carries relative to the
         stored representative is divided out at the end.  Bar-invariance
         is preserved at every step because the corrections and the unit
-        are bar-invariant, so the result is the unique bar-invariant
-        element of L congruent to b mod vL.  The monomials' coordinates
+        are bar-invariant, so the result is a bar-invariant element of L
+        congruent to b mod vL.  Those two properties alone do not make it
+        unique: that also takes integrality, G(b) in the integral form
+        spanned by divided-power monomials over Z[v, v^-1], which is not
+        certified here (ROADMAP.md, item 14).  The monomials' coordinates
         over the representatives come from one linalg.solve per
         pi-component, with their pivot-word coordinates as the
         right-hand sides; no inverse is formed.
@@ -599,16 +549,7 @@ class Crystal:
         ok = True
         for el in self.elements:
             res = self.lattice_residues(ctx.free.twistor(el.rep), el.weight)
-            match = None
-            if res is not None:
-                # two nonzero residues in all, a unit pair at one rep
-                hit = [k for side in res for k, g in enumerate(side) if g]
-                if len(hit) == 2:
-                    pair = (res[0][hit[0]], res[1][hit[0]])
-                    match = next(
-                        ((key, self.by_weight[el.weight][hit[0]])
-                         for key, units in _TWIST_UNITS if units == pair),
-                        None)
+            match = None if res is None else _unit_at(res, _TWIST_UNITS)
             if match is None:
                 ok = False
                 entries.append({
@@ -618,7 +559,8 @@ class Crystal:
                     "match": None,
                 })
             else:
-                (a, b), target = match
+                (a, b), k = match
+                target = self.by_weight[el.weight][k]
                 entries.append({
                     "label": el.label_text(ctx.datum),
                     "weight": list(el.weight),

@@ -201,14 +201,11 @@ def vec_reduce(rows, pivot_cols, vec):
 
 def _packed(a, lo, base):
     """The int value at v = 2**base of v**-lo * a, for an LP a whose
-    offset is at least lo (Kronecker substitution)."""
+    offset is at least lo (Kronecker substitution).  Only the nonzero
+    coefficients are shifted, so the cost follows the term count, not
+    the exponent span."""
     off, coeffs = a
-    if not coeffs:
-        return 0
-    val = 0
-    for c in reversed(coeffs):
-        val = (val << base) + c
-    return val << base * (off - lo)
+    return sum(c << base * (off - lo + k) for k, c in enumerate(coeffs) if c)
 
 
 def lp_product_is_zero(a, b):

@@ -8,6 +8,7 @@ bug in a test.  The package must never import this module.
 
 import sympy
 from fractions import Fraction
+from types import SimpleNamespace
 
 V = sympy.Symbol("v")
 
@@ -232,13 +233,14 @@ def b_module_depth(n, lam):
     return int(depth)
 
 
-# --- the echelon route to the crystal lattice --------------------------------
+# --- the echelon route to the crystal and its lattice ------------------------
 #
-# The lattice checks' former route, kept as the reference for the pairing
-# route that replaced it: L at a weight is echelonized over A from the
-# f_tilde images of the crystal reps one height below, and membership and
-# residues replay the echelon's row operations.  Unlike the rest of this
-# module it computes with covquant's own scalars and unit matcher.
+# The former route of generation and of the lattice checks, kept as the
+# reference for the pairing route that replaced it: L at a weight is
+# echelonized over A from its f_tilde images, each image's residues are
+# its coordinates over the echelon rows at v = 0, and classes and
+# membership are read off those.  Unlike the rest of this module it
+# computes with covquant's own scalars.
 
 
 def dvr_echelon_rows(rows):
@@ -285,11 +287,67 @@ def lattice_coords(echelon, vec):
     return out
 
 
+def match_unit(v0, candidates, units):
+    """The first (key, element), over candidates and then units, with
+    v0 = unit * element.v0 in each pi-component; None if there is none."""
+    for el in candidates:
+        for key, pair in units:
+            if all(all(g * u == h for g, h in zip(side, want))
+                   for side, u, want in zip(el.v0, pair, v0)):
+                return key, el
+    return None
+
+
+def echelon_residues(rows):
+    """Per row, its coordinates at v = 0 over the echelon of rows."""
+    echelon = dvr_echelon_rows(rows)
+    return [tuple(c.evaluate0() for c in lattice_coords(echelon, row))
+            for row in rows]
+
+
+def echelon_crystal(ctx, height):
+    """The crystal to height by the echelon route: the labels of the
+    classes per weight, and the f_tilde edges {(i, child): parent}.
+    An image is a new class unless its residues are a sign per
+    pi-component times those of a class found before it."""
+    from covquant.crystal import _SIGN_UNITS, f_tilde
+    from covquant.scalars import SIGNS
+
+    rank = ctx.datum.rank
+    shell = {(0,) * rank: [((), ctx.free.one())]}
+    classes, up = {}, {}
+    for h in range(height + 1):
+        found = []
+        for nu in sorted(shell):
+            coords = [ctx.reduce_at(x, nu)[1] for _, x in shell[nu]]
+            v0s = zip(*(echelon_residues([[c.specialize(s) for c in cs]
+                                          for cs in coords])
+                        for s in SIGNS))
+            bucket = []
+            for (label, x), v0 in zip(shell[nu], v0s):
+                match = match_unit(v0, bucket, _SIGN_UNITS)
+                if match is None:
+                    bucket.append(SimpleNamespace(label=label, v0=v0, rep=x,
+                                                  weight=nu))
+                    match = (None, bucket[-1])
+                if label:
+                    up[(label[0], match[1].label)] = label[1:]
+            classes[nu] = [b.label for b in bucket]
+            found.extend(bucket)
+        if h == height:
+            break
+        shell = {}
+        for b in found:
+            for i in range(rank):
+                nu = tuple(a + (k == i) for k, a in enumerate(b.weight))
+                shell.setdefault(nu, []).append(
+                    ((i,) + b.label, f_tilde(ctx, i, b.rep)))
+    return classes, up
+
+
 def echelon_lattice_reports(crystal):
     """The crystal's Psi and rho lattice reports, by the echelon route."""
-    from types import SimpleNamespace
-
-    from covquant.crystal import _TWIST_UNITS, _match_unit, f_tilde
+    from covquant.crystal import _TWIST_UNITS, f_tilde
     from covquant.scalars import SIGNS
 
     ctx = crystal.ctx
@@ -325,7 +383,7 @@ def echelon_lattice_reports(crystal):
         bucket = [SimpleNamespace(v0=residues(b.rep, nu), b=b)
                   for b in crystal.by_weight[nu]]
         v0 = residues(ctx.free.twistor(el.rep), nu)
-        match = None if v0 is None else _match_unit(v0, bucket, _TWIST_UNITS)
+        match = None if v0 is None else match_unit(v0, bucket, _TWIST_UNITS)
         if match is None:
             psi.append({**head, "in_lattice": v0 is not None, "match": None})
         else:

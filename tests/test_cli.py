@@ -474,23 +474,24 @@ def test_verify_checks_lambda_without_a_module_suite(capsys, suite, lam,
     ["canonical", "--datum", "osp14", "--height", "2"],
 ], ids=["verify-lattice", "canonical"])
 def test_failing_lattice_certificate_exits_1(capsys, monkeypatch, argv):
-    # plant r_a + v^-1 r_b as a crystal rep at weight (1, 1): the reps'
-    # pairings get a pole, and the run must end in a JSON error
+    # plant v times the first f_tilde image at weight (1, 1): it lies in
+    # vL, its self-pairing is 0 mod v, and the run must end in a JSON error
     from covquant import crystal
-    generate = crystal.Crystal._generate
+    process = crystal.Crystal._process_weight
 
-    def planted(self):
-        generate(self)
-        a, b = self.by_weight[(1, 1)]
-        a.coords = [x + y * scalars.PiScalar.v_power(-1)
-                    for x, y in zip(a.coords, b.coords)]
+    def planted(self, nu, candidates):
+        if nu == (1, 1):
+            (label, x), *rest = candidates
+            candidates = [(label, x.scale(scalars.PiScalar.v_power(1)))]
+            candidates += rest
+        return process(self, nu, candidates)
 
-    monkeypatch.setattr(crystal.Crystal, "_generate", planted)
+    monkeypatch.setattr(crystal.Crystal, "_process_weight", planted)
     code, payload = run_cli(capsys, argv)
     assert code == 1
-    assert payload == {"error": "computation failed: crystal reps' pairings "
-                                "at weight (1, 1), pi = 1, are not "
-                                "diag(+-1) mod v over A"}
+    assert payload == {"error": "computation failed: a crystal rep's "
+                                "self-pairing at weight (1, 1), pi = 1, is "
+                                "not +-1 mod v over A"}
 
 
 def test_verify_lambda_flows_to_module(capsys):
@@ -559,6 +560,10 @@ GOLDEN = [
      "7dcf9e4936d3f362f6695f133f2e8e22a6608ee6437ce32da887a627a89b342e"),
     (["canonical", "--datum", "osp14", "--height", "5"], 0,
      "2952a492838eee4650c415778e9e51e3566c02f957d0f9864e2bfcf9c94d6b87"),
+    # each crystal rep is its class's first f_tilde image, unscaled; the
+    # former orientation rule negated row 112221 here (67e6b1ef...)
+    (["canonical", "--datum", "osp14", "--height", "6"], 0,
+     "ef52b663182b33e27f0c46015d1ebdd8fc91abe923f35e60b7e1a6b0f0f07fda"),
     (["character", "--datum", "osp12_a1", "--lambda", "2,1", "--height", "4"],
      0, "1f0c2366fe31e9e35dca142f7db8f66b16486518df5744ab878d4a8e24ef5065"),
     (["character", "--datum", "affine_b01", "--lambda", "1,1,0",
@@ -601,11 +606,11 @@ def test_golden_output_digest(tmp_path, argv, code, digest):
 
 
 # RationalFn constructions of one in-process run each: verify and
-# canonical since the lattice is read through the form (4368 and 4782
-# before, with a second v-adic elimination), character since the module
-# is built on free words (5330 before)
-VERIFY_OSP14_H3_RATFN_COUNT = 3758
-CANONICAL_OSP14_H4_RATFN_COUNT = 3936
+# canonical since the crystal is generated through the form (3758 and
+# 3936 before, with the v-adic echelon), character since the module is
+# built on free words (5330 before)
+VERIFY_OSP14_H3_RATFN_COUNT = 3640
+CANONICAL_OSP14_H4_RATFN_COUNT = 3485
 CHARACTER_OSP14_H6_RATFN_COUNT = 839
 
 

@@ -11,7 +11,7 @@ from covquant.crystal import (
     _SIGN_UNITS,
     _TWIST_UNITS,
     Crystal,
-    _match_unit,
+    _unit_at,
     e_tilde,
     f_tilde,
     gamma_coefficient,
@@ -23,7 +23,9 @@ from covquant.scalars import PS_ONE, PS_PI, GaussianRational, PiScalar
 from oracles import (
     PI,
     V,
+    echelon_crystal,
     echelon_lattice_reports,
+    match_unit,
     pair_words_oracle,
     ratfn_to_sympy,
 )
@@ -153,38 +155,49 @@ def test_lattice_membership_controls(osp14_ctx, osp14_cr4):
         F.divided_power(0, 2), (2, 0)) is not None
 
 
+def _process(ctx, nu, xs):
+    """Run generation's step at nu on the candidates xs."""
+    return Crystal(ctx, 1)._process_weight(nu, [((), x) for x in xs])
+
+
 def test_dependent_candidates_break_the_class_count(osp14_ctx, osp14_cr3):
-    # negative control: b1 + b2 is no unit multiple of either class, so
-    # it is kept as a third class in a rank-2 lattice and the count check
-    # must catch the dependency
-    b1, b2 = (el.rep for el in osp14_cr3.by_weight[(1, 1)])
-    assert len(Crystal(osp14_ctx, 1)._process_weight(
-        (1, 1), [((), b1), ((), b2)])) == 2
-    with pytest.raises(ArithmeticError, match="class count 3 differs from "
-                       "the lattice rank 2"):
-        Crystal(osp14_ctx, 1)._process_weight(
-            (1, 1), [((), b1), ((), b2), ((), b1 + b2)])
+    # negative controls: r_a + r_b is a unit at no single class, and r_a
+    # alone leaves a rank-2 lattice one class short
+    a, b = (el.rep for el in osp14_cr3.by_weight[(1, 1)])
+    assert len(_process(osp14_ctx, (1, 1), [a, b])) == 2
+    with pytest.raises(ArithmeticError, match="is no sign unit times one "
+                       "crystal class"):
+        _process(osp14_ctx, (1, 1), [a, b, a + b])
+    with pytest.raises(ArithmeticError, match="class count 1 differs from "
+                       "dim f_nu 2"):
+        _process(osp14_ctx, (1, 1), [a])
 
 
-def test_certificate_rejects_a_rep_off_the_lattice(osp14_ctx):
-    # negative control: r_a + v^-1 r_b leaves L, so the reps' pairings
-    # get a pole and the certificate must refuse every later query
-    cr = Crystal(osp14_ctx, 3)
-    a, b = cr.by_weight[(1, 1)]
-    a.coords = [x + y * v_pow(-1) for x, y in zip(a.coords, b.coords)]
-    with pytest.raises(ArithmeticError, match=r"not diag\(\+-1\) mod v"):
-        cr.lattice_residues(b.rep, (1, 1))
+def test_certificate_rejects_a_rep_off_the_lattice(osp14_ctx, osp14_cr3):
+    # negative controls: v^-1 theta_1^(2) has pivot coordinate
+    # 1/(1 + v^2), in A, so only its self-pairing, with a pole, shows it
+    # is off L; r_a + v^-1 r_b already has a pole in pivot coordinates
+    F = osp14_ctx.free
+    assert len(_process(osp14_ctx, (2, 0), [F.divided_power(0, 2)])) == 1
+    with pytest.raises(ArithmeticError, match=r"self-pairing at weight "
+                       r"\(2, 0\), pi = 1, is not \+-1 mod v"):
+        _process(osp14_ctx, (2, 0), [F.divided_power(0, 2).scale(v_pow(-1))])
+    a, b = (el.rep for el in osp14_cr3.by_weight[(1, 1)])
+    with pytest.raises(ArithmeticError, match="pole at v = 0 in pivot"):
+        _process(osp14_ctx, (1, 1), [a + b.scale(v_pow(-1)), b])
 
 
-def test_certificate_rejects_reps_off_the_diagonal(osp14_ctx):
-    # negative control: r_b -> (3 r_a + 4 r_b)/5 keeps L and, at pi = +1
-    # where both reps pair to 1, the diagonal, but (r_a, r_b)(0) = 3/5
-    cr = Crystal(osp14_ctx, 3)
-    a, b = cr.by_weight[(1, 1)]
+def test_certificate_rejects_reps_off_the_diagonal(osp14_ctx, osp14_cr3):
+    # negative controls: v r_a lies in vL, so its self-pairing is 0 mod v;
+    # (3 r_a + 4 r_b)/5 pairs with r_a and r_b to 3/5 and 4/5 mod v, so
+    # neither becomes a class and the count comes out short
+    a, b = (el.rep for el in osp14_cr3.by_weight[(1, 1)])
+    with pytest.raises(ArithmeticError, match=r"self-pairing at weight "
+                       r"\(1, 1\), pi = 1, is not \+-1 mod v"):
+        _process(osp14_ctx, (1, 1), [a.scale(v_pow(1)), b])
     c3, c4 = (PiScalar.from_int(k) / PiScalar.from_int(5) for k in (3, 4))
-    b.coords = [x * c3 + y * c4 for x, y in zip(a.coords, b.coords)]
-    with pytest.raises(ArithmeticError, match=r"pi = 1, are not diag"):
-        cr.lattice_residues(a.rep, (1, 1))
+    with pytest.raises(ArithmeticError, match="class count 1 differs"):
+        _process(osp14_ctx, (1, 1), [a.scale(c3) + b.scale(c4), a, b])
 
 
 def test_psi_match_wants_one_residue_at_one_rep(osp14_ctx, monkeypatch):
@@ -260,7 +273,31 @@ def test_generation_is_deterministic(osp14_ctx):
     a = Crystal(osp14_ctx, 3)
     b = Crystal(osp14_ctx, 3)
     assert [el.label for el in a.elements] == [el.label for el in b.elements]
-    assert [el.unit for el in a.elements] == [el.unit for el in b.elements]
+    assert [el.rep.terms for el in a.elements] == \
+        [el.rep.terms for el in b.elements]
+
+
+@pytest.mark.parametrize("name, height", [("osp14", 5), ("osp16", 4),
+                                          ("affine_b01", 4)])
+def test_generation_matches_echelon_oracle(name, height):
+    ctx = QuotientContext(*catalog_datum(name))
+    cr = Crystal(ctx, height)
+    classes, up = echelon_crystal(ctx, height)
+    assert {nu: [el.label for el in els]
+            for nu, els in cr.by_weight.items()} == classes
+    assert cr._up == up
+
+
+def test_reps_are_f_tilde_chains(osp14_ctx):
+    # r_b is f_tilde_{i1} ... f_tilde_{ik} 1 for b's label (i1, ..., ik),
+    # unscaled; at osp14 h6 this fixes the sign of class 112221 too
+    cr = Crystal(osp14_ctx, 6)
+    chain = {(): osp14_ctx.free.one()}
+    for el in cr.elements:
+        if el.label:
+            chain[el.label] = f_tilde(osp14_ctx, el.label[0],
+                                      chain[el.label[1:]])
+        assert osp14_ctx.equal_in_f(el.rep, chain[el.label]), el.label
 
 
 # --- canonical basis ---------------------------------------------------------
@@ -433,72 +470,82 @@ def _twist_unit_oracle(v0, candidates):
     return None
 
 
-# residue pairs: generic, and each with one all-zero pi-component
-_RESIDUES = [
-    ((G(1), G(0), G(-2)), (G(0, 1), G(3), G(0))),
-    ((G(0), G(0), G(0)), (G(1), G(2, -1), G(0))),
-    ((G(1), G(0), G(1, 1)), (G(0), G(0), G(0))),
-]
+def _at(n, k):
+    """A rep's own residue pair over n reps: 1 at rep k, 0 elsewhere."""
+    side = tuple(G(1 if j == k else 0) for j in range(n))
+    return (side, side)
+
+
+# residue pairs over 3 reps and over 1
+_RESIDUES = [_at(3, 0), _at(3, 2), _at(1, 0)]
 
 
 def _times(unit, w0):
     return tuple(tuple(g * u for g in side) for side, u in zip(w0, unit))
 
 
-def _check_against_oracles(v0, candidates):
-    got = _match_unit(v0, candidates, _SIGN_UNITS)
-    want = next(((el, s) for el in candidates
+def _check_against_oracles(v0, n):
+    """_unit_at on v0 over n reps against match_unit and both old
+    searches; returns its match under the twist units."""
+    reps = [SimpleNamespace(v0=_at(n, k)) for k in range(n)]
+    for units in (_SIGN_UNITS, _TWIST_UNITS):
+        want = match_unit(v0, reps, units)
+        assert _unit_at(v0, units) == (
+            None if want is None else (want[0], reps.index(want[1])))
+    got = _unit_at(v0, _SIGN_UNITS)
+    want = next(((s, k) for k, el in enumerate(reps)
                  for s in [_proportional_unit_oracle(v0, el.v0)]
                  if s is not None), None)
     if want is None:
         assert got is None
     else:
-        assert got[1] is want[0]
-        assert tuple(G(s) for s in got[0]) == want[1]
-    got = _match_unit(v0, candidates, _TWIST_UNITS)
-    want = _twist_unit_oracle(v0, candidates)
+        assert got[1] == want[1]
+        assert tuple(G(s) for s in got[0]) == want[0]
+    got = _unit_at(v0, _TWIST_UNITS)
+    want = _twist_unit_oracle(v0, reps)
     if want is None:
         assert got is None
     else:
-        assert got[0] == want[:2] and got[1] is want[2]
+        assert got[0] == want[:2] and reps[got[1]] is want[2]
     return got
 
 
 @pytest.mark.parametrize("w0", _RESIDUES)
 def test_match_unit_agrees_with_both_old_searches(w0):
-    el = SimpleNamespace(v0=w0)
-    decoy = SimpleNamespace(v0=_times((G(2), G(2)), w0))
+    n = len(w0[0])
+    k = w0[0].index(G(1))
     for s in (1, -1):
         for r in (1, -1):
             v0 = _times((G(s), G(r)), w0)
-            assert _match_unit(v0, [decoy, el], _SIGN_UNITS)[1] is el
-            _check_against_oracles(v0, [decoy, el])
+            assert _unit_at(v0, _SIGN_UNITS) == ((s, r), k)
+            _check_against_oracles(v0, n)
     for a in range(4):
         for b in range(2):
             v0 = _times((G(0, 1) ** a, G(0, 1) ** a * (-1) ** b), w0)
-            (ga, gb), target = _check_against_oracles(v0, [decoy, el])
-            assert target is el
-            # an all-zero component leaves part of the unit open: the
-            # first match in search order is reported
-            if any(w0[0]) and any(w0[1]):
-                assert (ga, gb) == (a, b)
-    # near misses: t on one component only, and a non-unit multiple
-    for unit in [(G(0, 1), G(1)), (G(1), G(0, 1)), (G(2), G(1))]:
-        v0 = _times(unit, w0)
-        if v0 != w0 and v0 != _times((G(-1), G(-1)), w0):
-            _check_against_oracles(v0, [el])
+            assert _check_against_oracles(v0, n) == ((a, b), k)
+    # near misses: t on one component only, a non-unit multiple, two
+    # nonzero residues, and an all-zero component
+    misses = [_times(unit, w0)
+              for unit in [(G(0, 1), G(1)), (G(1), G(0, 1)), (G(2), G(1)),
+                           (G(1), G(0))]]
+    if n > 1:
+        other = _at(n, (k + 1) % n)
+        misses.append(tuple(tuple(g + h for g, h in zip(side, more))
+                            for side, more in zip(w0, other)))
+    for v0 in misses:
+        assert _check_against_oracles(v0, n) is None
+        assert _unit_at(v0, _SIGN_UNITS) is None
 
 
 def test_match_unit_tells_t_from_pi():
     w0 = _RESIDUES[0]
-    el = SimpleNamespace(v0=w0)
     t_w0 = _times((G(0, 1), G(0, 1)), w0)
     pi_w0 = _times((G(1), G(-1)), w0)
-    assert _match_unit(t_w0, [el], _TWIST_UNITS)[0] == (1, 0)
-    assert _match_unit(pi_w0, [el], _TWIST_UNITS)[0] == (0, 1)
-    assert _match_unit(t_w0, [SimpleNamespace(v0=pi_w0)],
-                       _TWIST_UNITS)[0] == (1, 1)
-    assert _match_unit(t_w0, [el], _SIGN_UNITS) is None
-    assert _match_unit(pi_w0, [el], _SIGN_UNITS)[0] == (1, -1)
+    assert _unit_at(t_w0, _TWIST_UNITS) == ((1, 0), 0)
+    assert _unit_at(pi_w0, _TWIST_UNITS) == ((0, 1), 0)
+    assert _unit_at(_times((G(0, 1), G(0, -1)), w0),
+                    _TWIST_UNITS) == ((1, 1), 0)
+    assert _unit_at(t_w0, _SIGN_UNITS) is None
+    assert _unit_at(pi_w0, _SIGN_UNITS) == ((1, -1), 0)
     # t at pi = +1 with 1 at pi = -1 is no t^a pi^b
-    assert _check_against_oracles(_times((G(0, 1), G(1)), w0), [el]) is None
+    assert _check_against_oracles(_times((G(0, 1), G(1)), w0), 3) is None

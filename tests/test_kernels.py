@@ -12,7 +12,7 @@ V = sympy.Symbol("v")
 
 def lp_to_sympy(a):
     off, coeffs = a
-    return sum(c * V ** (off + k) for k, c in enumerate(coeffs))
+    return sum(c * V ** (off + k) for k, c in enumerate(coeffs) if c)
 
 
 def sympy_equal(x, y):
@@ -186,6 +186,24 @@ def test_product_is_zero_at_the_base_boundary(kern, k):
         assert not kern.lp_product_is_zero(a, b)
         b = [[(off_b, (-(2 ** k), 1))]]
         assert not kern.lp_product_is_zero(a, b)
+
+
+def test_large_exponent_span_packs_by_terms(kern):
+    # 1 + v**100000 and 1 + v**-100000 are tuples of 100001 coefficients,
+    # two of them nonzero: the pack must cost what two terms cost
+    one = (0, (1,))
+    x = kern.lp_add(one, (100000, (1,)))
+    y = kern.lp_add(one, (-100000, (1,)))
+    for a, b in [([[x, y]], [[y], [kern.lp_neg(x)]]),     # x y - y x
+                 ([[x, y]], [[y], [kern.lp_neg(y)]])]:    # x y - y y
+        want = all(kern.lp_is_zero(e)
+                   for row in explicit_product(kern, a, b) for e in row)
+        assert kern.lp_product_is_zero(a, b) == want
+    for m, singular in [([[x, y], [one, one]], False),
+                        ([[x, y], [x, y]], True)]:
+        det = sympy.Matrix([[lp_to_sympy(e) for e in row] for row in m]).det()
+        assert sympy_equal(det, 0) is singular
+        assert kern.lp_det_nonzero(m) is not singular
 
 
 def lp_det_calls(kern, monkeypatch):
