@@ -16,11 +16,12 @@ rep r_b, and its self-pairing must be sigma_b = +-1 mod v.  Every image
 must pair into A with every rep, as a sign unit at exactly one rep, and
 there must be dim f_nu reps: then the reps are an A-basis of L.  So x is
 in L iff every (x, r_b) is in A, and then x = sum_b sigma_b (x, r_b)(0)
-r_b mod vL: n pairings, no elimination.
+r_b mod vL: n pairings, no elimination.  The canonical basis reads its
+candidates the same way: the lowest-order terms of their pairings with
+the reps are those of their coordinates over the reps.
 """
 
 from .freealg import FreeElement
-from .linalg import solve
 from .scalars import (
     G_ONE,
     GaussianRational,
@@ -107,51 +108,28 @@ def e_tilde(ctx, i, x):
     return _shift_string(ctx, i, x, -1)
 
 
-def _bad_part(x):
-    """Pole-and-constant part of a rational function at v = 0.
-
-    Peels series coefficients one at a time: the denominator never
-    vanishes at v = 0, so each leading coefficient is num_lead/den(0)
-    exactly.  Returns a LaurentPoly supported in degrees <= 0.
+def _bar_complete(c, k, sign):
+    """The bar-invariant Laurent polynomial whose only term of degree <= 0
+    is c v^k.  On the plus component bar sends v to 1/v, so v^k pairs
+    with v^-k; on the minus component bar sends v to -1/v, so v^k pairs
+    with (-1)^k v^-k.  The constant term is its own partner either way.
     """
-    out = {}
-    while x:
-        k = x.valuation()
-        if k > 0:
-            break
-        c = x.num.coeff(k) / x.den.coeff(0)
-        out[k] = c
-        x = x - RationalFn(LaurentPoly.monomial(c, k))
-    return LaurentPoly(out)
-
-
-def _bar_complete(bad, sign):
-    """Bar-invariant Laurent polynomial whose degree <= 0 part is bad.
-
-    On the plus component bar sends v to 1/v, so v^-k pairs with v^k;
-    on the minus component bar sends v to -1/v, so v^-k pairs with
-    (-1)^k v^k.  The constant term is its own partner either way.
-    """
-    def complete(part):
-        out = dict(part)
-        for k, c in part.items():
-            if k < 0:
-                out[-k] = c if sign == 1 or k % 2 == 0 else -c
-        return out
-    return LaurentPoly.from_maps(complete(bad.re), complete(bad.im))
+    if not k:
+        return LaurentPoly.const(c)
+    return LaurentPoly({k: c, -k: c if sign == 1 or k % 2 == 0 else -c})
 
 
 def _one_den(vec):
     """RationalFn entries as LaurentPoly numerators over one denominator,
-    the product of their distinct denominators, and its value at v = 0,
-    nonzero as every factor's is."""
-    nums, den0, seen = [a.num for a in vec], G_ONE, []
+    the product of their distinct denominators; it does not vanish at
+    v = 0, as no factor does."""
+    nums, den, seen = [a.num for a in vec], LP_ONE, []
     for d in (a.den for a in vec):
         if d != LP_ONE and d not in seen:
             seen.append(d)
-            den0 = den0 * d.coeff(0)
+            den = den * d
             nums = [n if a.den == d else n * d for n, a in zip(nums, vec)]
-    return nums, den0
+    return nums, den
 
 
 def _pairing(nums, image):
@@ -159,14 +137,24 @@ def _pairing(nums, image):
     return sum((a * b for a, b in zip(nums, image) if a and b), LaurentPoly())
 
 
-def _residues(nums, den0, dual):
-    """sigma_b (x, r_b)(0) for each (image of r_b, sigma_b over r_b's
-    denominator at v = 0) in dual, from x's numerators and denominator
-    at v = 0; None when some (x, r_b) has a pole at v = 0."""
-    pairs = [(_pairing(nums, image), unit) for image, unit in dual]
-    if any(p.valuation() < 0 for p, _ in pairs):
-        return None
-    return tuple(p.coeff(0) * unit / den0 for p, unit in pairs)
+def _leading(nums, den, dual):
+    """(k, terms) for x with numerators nums over den: k <= 0 is the
+    lowest order of any sigma_b (x, r_b), or 0 if all are in A, and terms
+    holds each one's coefficient of v^k, one per (image of r_b, sigma_b,
+    r_b's denominator) in dual."""
+    pairs = [(_pairing(nums, image), sigma, den_b)
+             for image, sigma, den_b in dual]
+    k = min([p.valuation() for p, _, _ in pairs] + [0])
+    den0 = den.coeff(0)
+    return k, tuple(p.coeff(k) * sigma / (den0 * den_b.coeff(0))
+                    for p, sigma, den_b in pairs)
+
+
+def _residues(nums, den, dual):
+    """sigma_b (x, r_b)(0) for each rep in dual, as in _leading; None
+    when some (x, r_b) has a pole at v = 0."""
+    k, terms = _leading(nums, den, dual)
+    return None if k < 0 else terms
 
 
 # Unit pairs (at pi = +1, at pi = -1) by which a residue pair may differ
@@ -196,13 +184,12 @@ class CrystalElement:
     first f_tilde image f_tilde_{i1} ... f_tilde_{ik} 1 for the label
     (i1, ..., ik), unscaled."""
 
-    __slots__ = ("label", "weight", "rep", "coords")
+    __slots__ = ("label", "weight", "rep")
 
-    def __init__(self, label, weight, rep, coords):
+    def __init__(self, label, weight, rep):
         self.label = label
         self.weight = weight
         self.rep = rep          # pivot-word representative
-        self.coords = coords    # PiScalar coordinates over pivot words
 
     def label_text(self, datum):
         return "".join(datum.indices[k] for k in self.label)
@@ -294,17 +281,18 @@ class Crystal:
             if any(any(r) for r in res.values()):
                 continue
             for s in SIGNS:
-                nums, den0 = sides[s]
+                nums, den = sides[s]
                 image = [_pairing(row, nums) for row in grams[s]]
                 p = _pairing(nums, image)
+                den0 = den.coeff(0)
                 sigma = p.coeff(0) / (den0 * den0)
                 if p.valuation() < 0 or sigma not in (G_ONE, -G_ONE):
                     raise ArithmeticError(
                         f"a crystal rep's self-pairing at weight {nu}, pi = "
                         f"{s}, is not +-1 mod v over A")
-                duals[s].append((image, sigma / den0))
+                duals[s].append((image, sigma, den))
             rep = FreeElement(dict(zip(pivot_words, coords)))
-            bucket.append(CrystalElement(label, nu, rep, coords))
+            bucket.append(CrystalElement(label, nu, rep))
         if len(bucket) != ctx.dimension(nu):
             raise ArithmeticError(
                 f"crystal class count {len(bucket)} differs from dim f_nu "
@@ -362,7 +350,7 @@ class Crystal:
 
         Each G(b) starts from the divided-power monomial of b's
         string-adapted word and subtracts bar-invariant multiples of
-        already-computed G(b') until the coordinates over the crystal
+        already-computed G(b') until its pairings with the crystal
         representatives have no pole and no constant term away from b
         itself; the +-1/+-pi unit the monomial carries relative to the
         stored representative is divided out at the end.  Bar-invariance
@@ -371,10 +359,10 @@ class Crystal:
         congruent to b mod vL.  Those two properties alone do not make it
         unique: that also takes integrality, G(b) in the integral form
         spanned by divided-power monomials over Z[v, v^-1], which is not
-        certified here (ROADMAP.md, item 14).  The monomials' coordinates
-        over the representatives come from one linalg.solve per
-        pi-component, with their pivot-word coordinates as the
-        right-hand sides; no inverse is formed.
+        certified here (ROADMAP.md, item 14).  The pairings are Laurent
+        numerators against the representatives' stored images, read at
+        their lowest order, where they agree with the coordinates over
+        the representatives; no coordinates are solved for.
         """
         nu = tuple(nu)
         got = self._canonical.get(nu)
@@ -382,39 +370,21 @@ class Crystal:
             return got
         ctx = self.ctx
         elements = self.by_weight.get(nu, [])
-        pivot_words = ctx.pivots(nu)
-        if len(elements) != len(pivot_words):
+        if len(elements) != ctx.dimension(nu):
             raise ArithmeticError(
                 f"crystal count {len(elements)} differs from dim f_nu "
-                f"{len(pivot_words)} at weight {nu}")
+                f"{ctx.dimension(nu)} at weight {nu}")
         n = len(elements)
-        monomials = []
-        for el in elements:
-            m = self._monomial(self._adapted_word(el.label))
-            monomials.append(ctx.reduce_at(m, nu)[1])
-        # column k of B holds monomial k on the pivot words, column k of
-        # the solution the same monomial over the crystal representatives
-        over_reps = {}
-        for sign in SIGNS:
-            A = [[el.coords[w].specialize(sign) for el in elements]
-                 for w in range(n)]
-            B = [[m[w].specialize(sign) for m in monomials] for w in range(n)]
-            over_reps[sign] = solve(A, B)
-        starts = [(FreeElement(zip(pivot_words, m)),
-                   {sign: [row[k] for row in over_reps[sign]]
-                    for sign in SIGNS})
-                  for k, m in enumerate(monomials)]
+        starts = [ctx.reduce_element(
+                      self._monomial(self._adapted_word(el.label)))
+                  for el in elements]
         G_elems = [None] * n
-        G_coords = [None] * n
         for _ in range(n + 1):
             progress = False
             for t in range(n):
-                if G_elems[t] is not None:
-                    continue
-                got = self._correct(t, starts[t], G_elems, G_coords, nu)
-                if got is not None:
-                    G_elems[t], G_coords[t] = got
-                    progress = True
+                if G_elems[t] is None:
+                    G_elems[t] = self._correct(t, starts[t], G_elems, nu)
+                    progress = progress or G_elems[t] is not None
             if all(g is not None for g in G_elems):
                 break
             if not progress:
@@ -458,58 +428,60 @@ class Crystal:
             out = F.mul(out, F.divided_power(word[s], t - s))
         return out
 
-    def _correct(self, t, start, G_elems, G_coords, nu):
-        """Run the bar-invariant correction for class t; returns the pair
-        (element, coords) on success and None when a needed G(b') is not
-        available yet."""
-        z, zc = start
-        zc = {s: list(zc[s]) for s in SIGNS}
-        n = len(zc[1])
-        depth = max((-zc[s][j].valuation() for s in SIGNS for j in range(n)
-                     if zc[s][j]), default=0)
-        for _ in range(max(depth, 0) + 3):
-            defects = {}
-            for j in range(n):
-                if j == t:
-                    continue
-                bad = {s: _bad_part(zc[s][j]) for s in SIGNS}
-                if any(bad[s] for s in SIGNS):
-                    defects[j] = bad
+    def _leading_terms(self, z, nu):
+        """Per sign, _leading of z, which lies on the pivot words, against
+        the crystal reps at nu."""
+        return {s: _leading(*_one_den([z.coefficient(w).specialize(s)
+                                       for w in self.ctx.pivots(nu)]),
+                            self._duals[nu][s])
+                for s in SIGNS}
+
+    def _correct(self, t, z, G_elems, nu):
+        """Run the bar-invariant correction for class t from z, on the
+        pivot words; returns the element on success and None when a
+        needed G(b') is not available yet.
+
+        z is read through its pairings with the reps.  Over the reps z
+        has coordinates c, and sigma_j (z, r_j) = c_j + v (an A-span of
+        the c_k), as the reps' pairing matrix is diag(sigma) mod v over
+        A.  So at the lowest order k <= 0 of any pairing, the pairings'
+        terms are the c_j's own, and c_j's term there changes only by a
+        multiple of G(b_j) itself: each round takes those terms off and
+        lowers the deepest pole by one, and G(b_j) is asked for only
+        when the result has a G(b_j) term.
+        """
+        lead = self._leading_terms(z, nu)
+        depth = max(-k for k, _ in lead.values())
+        for _ in range(depth + 3):
+            defects = [j for j in range(len(G_elems)) if j != t
+                       and any(terms[j] for _, terms in lead.values())]
             if not defects:
                 break
             if any(G_elems[j] is None for j in defects):
                 return None
-            for j, bad in defects.items():
-                r = PiScalar(RationalFn(_bar_complete(bad[1], 1)),
-                             RationalFn(_bar_complete(bad[-1], -1)))
+            for j in defects:
+                r = PiScalar(*(RationalFn(_bar_complete(
+                    lead[s][1][j], lead[s][0], s)) for s in SIGNS))
                 z = z - G_elems[j].scale(r)
-                for s in SIGNS:
-                    rs = r.specialize(s)
-                    zc[s] = [a - rs * b
-                             for a, b in zip(zc[s], G_coords[j][s])]
+            lead = self._leading_terms(z, nu)
         else:
             raise ArithmeticError(
                 f"canonical basis correction did not flatten the poles "
                 f"at weight {nu}")
         units = {}
         for s in SIGNS:
-            own = zc[s][t]
-            if own.valuation() != 0:
+            k, terms = lead[s]
+            if k < 0 or not terms[t]:
                 raise ArithmeticError(
                     f"adapted monomial is not triangular at weight {nu}")
-            c = own.evaluate0()
-            if c != GaussianRational(1) and c != GaussianRational(-1):
+            if terms[t] != G_ONE and terms[t] != -G_ONE:
                 raise ArithmeticError(
                     f"adapted monomial sits over its class with a non-unit "
                     f"coefficient at weight {nu}")
-            units[s] = c
-        if units[1] != GaussianRational(1) or units[-1] != GaussianRational(1):
-            u = PiScalar(RationalFn(units[1]), RationalFn(units[-1]))
-            z = z.scale(u)
-            for s in SIGNS:
-                rs = RationalFn(units[s])
-                zc[s] = [a * rs for a in zc[s]]
-        return self.ctx.reduce_element(z), zc
+            units[s] = terms[t]
+        if units[1] != G_ONE or units[-1] != G_ONE:
+            z = z.scale(PiScalar(RationalFn(units[1]), RationalFn(units[-1])))
+        return self.ctx.reduce_element(z)
 
     def _twistor_exponent(self, G, nu):
         ctx = self.ctx

@@ -3,9 +3,10 @@
 Matrices are lists of lists of RationalFn (one pi-component at a time);
 rref also takes GaussianRational entries.  Sizes at desk scale are small,
 so plain fraction-arithmetic Gaussian elimination with first-nonzero
-pivoting is fine and keeps pivot choices deterministic.  crystal calls
-solve, and the module build calls kernel, whose reduction data it reads
-itself.
+pivoting is fine and keeps pivot choices deterministic.  The module
+build calls kernel, whose reduction data it reads itself.  No package
+code calls solve: the tests use it as the field-elimination reference
+for the canonical basis, and the benchmark tracer wraps it by name.
 """
 
 from .scalars import LaurentPoly, RationalFn
@@ -51,7 +52,8 @@ def solve(a, rhs_cols):
     """Solve a square system A X = B exactly; raises on a singular A.
 
     rhs_cols is a matrix whose columns are the right-hand sides; the
-    result has the same shape.
+    result has the same shape.  The reference by which the tests read
+    canonical basis elements over the crystal reps, and a tracer target.
     """
     n = len(a)
     if any(len(r) != n for r in a):
