@@ -31,7 +31,6 @@ from .scalars import (
     PiScalar,
     RationalFn,
     SIGNS,
-    lp_to_ratfn,
 )
 
 
@@ -255,8 +254,9 @@ class Crystal:
         ctx = self.ctx
         index = {w: t for t, w in enumerate(ctx.words(nu))}
         piv = [index[w] for w in ctx.pivots(nu)]
-        grams = {s: [[lp_to_ratfn(ctx.gram(nu)[s][i][j]).num for j in piv]
-                     for i in piv] for s in SIGNS}
+        gram = ctx.gram(nu)
+        grams = {s: [[gram[s][i][j] for j in piv] for i in piv]
+                 for s in SIGNS}
         duals = {s: [] for s in SIGNS}
 
         def residues(sides, s, start):

@@ -4,17 +4,25 @@ Words are tuples of index positions (file order of the datum's index
 list).  Elements map words to PiScalar coefficients; zero coefficients
 are never stored.  All operations are pure; the pairing accepts an
 external memo dict so a quotient context can own the cache, and works
-per pi-component on integer Laurent polynomials (kernel tuples).
+per pi-component on integer Laurent polynomials (LaurentPoly values with
+int coefficients, which kernels eliminates on as they are).
 FreeAlgebra memoizes divided powers and single-word derivations, so the
 elements and dicts they return are shared: nothing may mutate them.
 """
 
-from . import kernels
 from .cartan import weight_add
-from .scalars import PS_ONE, PS_ZERO, PiScalar, lp_to_ratfn, qfactorial
+from .scalars import (
+    LP_ONE,
+    LP_ZERO,
+    PS_ONE,
+    PS_ZERO,
+    PiScalar,
+    RationalFn,
+    qfactorial,
+)
 
-_PAIR_ZERO = (kernels.LP_ZERO, kernels.LP_ZERO)
-_PAIR_ONE = (kernels.lp_const(1), kernels.lp_const(1))
+_PAIR_ZERO = (LP_ZERO, LP_ZERO)
+_PAIR_ONE = (LP_ONE, LP_ONE)
 
 
 class FreeElement:
@@ -183,7 +191,7 @@ class FreeAlgebra:
 
     def pair_words(self, w1, w2, memo=None):
         """The bilinear form on two words as a (plus, minus) pair of
-        integer Laurent kernel tuples, one per pi-component."""
+        integer Laurent polynomials, one per pi-component."""
         if len(w1) != len(w2):
             return _PAIR_ZERO
         if memo is None:
@@ -204,16 +212,15 @@ class FreeAlgebra:
         par = self.datum.parity
         par_k = par[k]
         dot_k = self.datum.dot[k]
-        plus = minus = kernels.LP_ZERO
+        plus = minus = LP_ZERO
         pi_exp = 0
         v_exp = 0
         for t, letter in enumerate(w2):
             if letter == k:
                 p, m = self._pair_words(tail, w2[:t] + w2[t + 1:], memo)
-                plus = kernels.lp_add(plus, kernels.lp_shift(p, v_exp))
-                m = kernels.lp_shift(m, v_exp)
-                minus = kernels.lp_add(
-                    minus, kernels.lp_neg(m) if pi_exp % 2 else m)
+                plus = plus + p.shift(v_exp)
+                m = m.shift(v_exp)
+                minus = minus - m if pi_exp % 2 else minus + m
             pi_exp += par_k * par[letter]
             v_exp -= dot_k[letter]
         got = (plus, minus)
@@ -229,8 +236,7 @@ class FreeAlgebra:
                 if len(w1) != len(w2):
                     continue
                 p, m = self._pair_words(w1, w2, memo)
-                acc = acc + c1 * c2 * PiScalar(lp_to_ratfn(p),
-                                               lp_to_ratfn(m))
+                acc = acc + c1 * c2 * PiScalar(RationalFn(p), RationalFn(m))
         return acc
 
     # --- (anti)automorphisms ----------------------------------------------

@@ -2,11 +2,11 @@
 the bilinear form.
 
 Per weight we compute on first use, and hold in memory, the Gram matrix
-of the form on words (integer Laurent polynomials, one matrix per
-pi-component), a basis of its kernel (the radical), and the
-complementary pivot words.  Equality and
-reduction happen per pi-component; the two components must agree on
-dimensions and pivot words, which is asserted.
+of the form on words (LaurentPoly entries with int coefficients, one
+matrix per pi-component, which kernels eliminates on as they are), a
+basis of its kernel (the radical), and the complementary pivot words.
+Equality and reduction happen per pi-component; the two components must
+agree on dimensions and pivot words, which is asserted.
 
 The radical is found by echelonizing the span of padded Serre elements
 and certifying completeness: every echelon row times the Gram matrix is
@@ -31,11 +31,13 @@ from .cartan import stats_N, stats_p, weight_sub
 from .freealg import FreeAlgebra, FreeElement
 from .linalg import RF_ZERO
 from .scalars import (
+    LP_ONE,
+    LP_ZERO,
     PiScalar,
+    RationalFn,
     SIGNS,
-    lp_to_ratfn,
+    int_laurent,
     qbinomial,
-    ratfn_to_lp,
 )
 
 
@@ -77,7 +79,7 @@ class QuotientContext:
 
     def gram(self, nu):
         """Gram matrix at weight nu as {sign: rows of integer Laurent
-        kernel tuples}, one matrix per pi-component."""
+        polynomials}, one matrix per pi-component."""
         got = self._gram.get(nu)
         if got is not None:
             return got
@@ -116,7 +118,7 @@ class QuotientContext:
         if got is None:
             s = self.serre_element(i, j)
             got = (s.homogeneous_weight(self.datum.rank),
-                   {sign: [(w, ratfn_to_lp(c.specialize(sign)))
+                   {sign: [(w, int_laurent(c.specialize(sign)))
                            for w, c in sorted(s.terms.items())]
                     for sign in SIGNS})
             self._serre[(i, j)] = got
@@ -145,7 +147,7 @@ class QuotientContext:
                         for w in self.words(right):
                             row = {}
                             for sign in SIGNS:
-                                vec = [kernels.LP_ZERO] * len(words)
+                                vec = [LP_ZERO] * len(words)
                                 for word, c in terms[sign]:
                                     vec[index[u + word + w]] = c
                                 row[sign] = vec
@@ -205,8 +207,7 @@ class QuotientContext:
         aug = []
         for i in range(ncols):
             row = list(gram_rows[i]) + [
-                kernels.LP_ONE if j == i else kernels.LP_ZERO
-                for j in range(ncols)]
+                LP_ONE if j == i else LP_ZERO for j in range(ncols)]
             aug.append(row)
         ech, piv = kernels.echelon(aug, 2 * ncols)
         kern_rows = [r[ncols:] for r, c in zip(ech, piv) if c >= ncols]
@@ -229,11 +230,11 @@ class QuotientContext:
                 if not c:
                     continue
                 for t, a in enumerate(rows[w]):
-                    if a[1]:
-                        c_a = c if a == kernels.LP_ONE else c * lp_to_ratfn(a)
+                    if a:
+                        c_a = c if a == LP_ONE else c * RationalFn(a)
                         coords[t] = coords[t] + c_a if coords[t] else c_a
-            if den != kernels.LP_ONE:
-                den = lp_to_ratfn(den)
+            if den != LP_ONE:
+                den = RationalFn(den)
                 coords = [a / den for a in coords]
             comps[sign] = coords
         coords = [PiScalar(p, m) for p, m in zip(comps[1], comps[-1])]
@@ -243,7 +244,7 @@ class QuotientContext:
         """The class of every word of weight nu on the pivot words.
 
         Returns {sign: (den, table)}: table maps each word to a tuple of
-        integer Laurent kernel tuples, one per pivot word, and the class
+        integer Laurent polynomials, one per pivot word, and the class
         coordinates are those entries divided by den.  den is 1 when
         every coordinate is a Laurent polynomial, as on the catalog data
         up to the heights the tests reach.  Built once per weight.
@@ -267,14 +268,13 @@ class QuotientContext:
         for t, w in enumerate(words):
             k = lead_row.get(t)
             if k is None:
-                table[w] = tuple(kernels.LP_ONE if c == t else kernels.LP_ZERO
-                                 for c in keep)
+                table[w] = tuple(LP_ONE if c == t else LP_ZERO for c in keep)
                 continue
             # rows above k lead in columns left of t, where vec is zero
-            vec = [kernels.LP_ZERO] * len(words)
-            vec[t] = kernels.LP_ONE
+            vec = [LP_ZERO] * len(words)
+            vec[t] = LP_ONE
             vec, scale = kernels.vec_reduce(rows[k:], piv[k:], vec)
-            if any(vec[col][1] for col in piv):
+            if any(vec[col] for col in piv):
                 raise ArithmeticError(
                     "reduction left mass outside the pivot words")
             try:
@@ -282,18 +282,17 @@ class QuotientContext:
                                  for c in keep)
             except ValueError:
                 pending[w] = (vec, scale)
-        den = kernels.LP_ONE
+        den = LP_ONE
         if pending:
             # each scale is a product of leads of distinct rows, so it
             # divides the product of all leads
             for row, col in zip(rows, piv):
-                den = kernels.lp_mul(den, row[col])
+                den = den * row[col]
             for w, coords in table.items():
-                table[w] = tuple(kernels.lp_mul(c, den) for c in coords)
+                table[w] = tuple(c * den for c in coords)
             for w, (vec, scale) in pending.items():
-                table[w] = tuple(
-                    kernels.lp_divexact(kernels.lp_mul(vec[c], den), scale)
-                    for c in keep)
+                table[w] = tuple(kernels.lp_divexact(vec[c] * den, scale)
+                                 for c in keep)
         return den, table
 
     def reduce_element(self, x):

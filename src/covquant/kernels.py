@@ -1,121 +1,33 @@
-"""Integer Laurent polynomial arithmetic and fraction-free elimination.
+"""Fraction-free elimination on integer Laurent polynomials.
 
-A Laurent polynomial with integer coefficients is stored as a pair
-``(offset, coeffs)`` where ``coeffs`` is a tuple of ints with nonzero first
-and last entry (or the empty tuple for zero); the represented value is
-``sum(coeffs[t] * v**(offset + t))``.
+Every entry is a scalars.LaurentPoly with int coefficients and an empty
+im map, and is read through its re map (exponent -> nonzero int), so the
+cost of every routine here follows the term count, not the exponent span.
 """
 
 from math import gcd
 
+from .scalars import LP_ONE, LP_ZERO, LaurentPoly, _poly_divmod
+
 # Reported by perfbench/run.py with its results.
 IMPLEMENTATION = "py"
 
-LP_ZERO = (0, ())
-LP_ONE = (0, (1,))
-
-
-def lp_trim(offset, coeffs):
-    """Normalize a raw (offset, mutable coeff list) pair into an LP."""
-    lo = 0
-    hi = len(coeffs)
-    while lo < hi and coeffs[lo] == 0:
-        lo += 1
-    while hi > lo and coeffs[hi - 1] == 0:
-        hi -= 1
-    if lo == hi:
-        return LP_ZERO
-    return (offset + lo, tuple(coeffs[lo:hi]))
-
-
-def lp_const(c):
-    if c == 0:
-        return LP_ZERO
-    return (0, (c,))
-
-
-def lp_is_zero(a):
-    return not a[1]
-
-
-def lp_add(a, b):
-    if not a[1]:
-        return b
-    if not b[1]:
-        return a
-    off = min(a[0], b[0])
-    hi = max(a[0] + len(a[1]), b[0] + len(b[1]))
-    out = [0] * (hi - off)
-    for t, c in enumerate(a[1]):
-        out[a[0] - off + t] += c
-    for t, c in enumerate(b[1]):
-        out[b[0] - off + t] += c
-    return lp_trim(off, out)
-
-
-def lp_neg(a):
-    return (a[0], tuple(-c for c in a[1]))
-
-
-def lp_sub(a, b):
-    return lp_add(a, lp_neg(b))
-
-
-def lp_mul(a, b):
-    if not a[1] or not b[1]:
-        return LP_ZERO
-    out = [0] * (len(a[1]) + len(b[1]) - 1)
-    for s, ca in enumerate(a[1]):
-        if ca:
-            for t, cb in enumerate(b[1]):
-                out[s + t] += ca * cb
-    return lp_trim(a[0] + b[0], out)
-
-
-def lp_scale(a, c):
-    if c == 0 or not a[1]:
-        return LP_ZERO
-    return (a[0], tuple(c * x for x in a[1]))
-
-
-def lp_shift(a, k):
-    if not a[1]:
-        return LP_ZERO
-    return (a[0] + k, a[1])
-
 
 def lp_divexact(a, b):
-    """Exact quotient a/b in Z[v,v^-1]; raises ValueError if not exact."""
-    if not b[1]:
+    """Exact quotient a/b in Z[v,v^-1]; raises ValueError if not exact.
+
+    Both sides are shifted to valuation 0, where b does not vanish at
+    v = 0: then a/b is a Laurent polynomial iff b divides a in Q[v], and
+    it lies in Z[v,v^-1] iff the quotient's coefficients are ints."""
+    if not b:
         raise ZeroDivisionError("division by zero Laurent polynomial")
-    if not a[1]:
+    if not a:
         return LP_ZERO
-    num = list(a[1])
-    den = b[1]
-    qlen = len(num) - len(den) + 1
-    if qlen <= 0:
+    va, vb = min(a.re), min(b.re)
+    q, r = _poly_divmod(a.shift(-va), b.shift(-vb))
+    if r or any(type(c) is not int for c in q.re.values()):
         raise ValueError("inexact Laurent division")
-    lead = den[-1]
-    quot = [0] * qlen
-    for k in range(qlen - 1, -1, -1):
-        top = num[k + len(den) - 1]
-        if top % lead:
-            raise ValueError("inexact Laurent division")
-        q = top // lead
-        quot[k] = q
-        if q:
-            for t, dc in enumerate(den):
-                num[k + t] -= q * dc
-    if any(num):
-        raise ValueError("inexact Laurent division")
-    return lp_trim(a[0] - b[0], quot)
-
-
-def lp_content(a):
-    g = 0
-    for c in a[1]:
-        g = gcd(g, c)
-    return g
+    return q.shift(va - vb)
 
 
 def row_primitive(row):
@@ -124,23 +36,21 @@ def row_primitive(row):
     positive.  Returns a new row (list)."""
     g = 0
     m = None
+    sign = 0
     for a in row:
-        if a[1]:
-            g = gcd(g, lp_content(a))
-            m = a[0] if m is None else min(m, a[0])
-    if g == 0:
-        return list(row)
-    sign = 1
-    for a in row:
-        if a[1]:
-            if a[1][-1] < 0:
-                sign = -1
-            break
+        if a:
+            for c in a.re.values():
+                g = gcd(g, c)
+            lo = min(a.re)
+            m = lo if m is None else min(m, lo)
+            if not sign:
+                sign = 1 if a.re[max(a.re)] > 0 else -1
     g *= sign
-    return [
-        LP_ZERO if not a[1] else (a[0] - m, tuple(c // g for c in a[1]))
-        for a in row
-    ]
+    if g in (0, 1) and not m:
+        return list(row)
+    return [a if not a else
+            LaurentPoly.from_maps({e - m: c // g for e, c in a.re.items()})
+            for a in row]
 
 
 def echelon(rows, ncols):
@@ -151,13 +61,13 @@ def echelon(rows, ncols):
     column of each returned row.  Row space is preserved up to per-row unit
     and content scaling.
     """
-    work = [row_primitive(r) for r in rows if any(a[1] for a in r)]
+    work = [row_primitive(r) for r in rows if any(r)]
     out = []
     pivots = []
     for col in range(ncols):
         pick = None
         for idx, r in enumerate(work):
-            if r[col][1]:
+            if r[col]:
                 pick = idx
                 break
         if pick is None:
@@ -166,12 +76,10 @@ def echelon(rows, ncols):
         lead = piv[col]
         rest = []
         for r in work:
-            if r[col][1]:
-                f = r[col]
-                r = [lp_sub(lp_mul(lead, r[j]), lp_mul(f, piv[j]))
-                     for j in range(ncols)]
-                r = row_primitive(r)
-                if not any(a[1] for a in r):
+            f = r[col]
+            if f:
+                r = row_primitive([lead * a - f * b for a, b in zip(r, piv)])
+                if not any(r):
                     continue
             rest.append(r)
         work = rest
@@ -191,50 +99,46 @@ def vec_reduce(rows, pivot_cols, vec):
     scale = LP_ONE
     for r, col in zip(rows, pivot_cols):
         f = vec[col]
-        if f[1]:
+        if f:
             lead = r[col]
-            vec = [lp_sub(lp_mul(lead, a), lp_mul(f, b))
-                   for a, b in zip(vec, r)]
-            scale = lp_mul(scale, lead)
+            vec = [lead * a - f * b for a, b in zip(vec, r)]
+            scale = scale * lead
     return list(vec), scale
 
 
 def _packed(a, lo, base):
     """The int value at v = 2**base of v**-lo * a, for an LP a whose
-    offset is at least lo (Kronecker substitution).  Only the nonzero
-    coefficients are shifted, so the cost follows the term count, not
-    the exponent span."""
-    off, coeffs = a
-    return sum(c << base * (off - lo + k) for k, c in enumerate(coeffs) if c)
+    valuation is at least lo (Kronecker substitution)."""
+    return sum(c << base * (e - lo) for e, c in a.re.items())
 
 
 def lp_product_is_zero(a, b):
     """Whether the product of LP matrices a (r x n) and b (n x c) is zero.
 
-    Exact, in int arithmetic.  With lo_a and lo_b the lowest offsets in a
-    and b, every entry of v**-lo_a * a and of v**-lo_b * b is a polynomial,
-    and every coefficient of a product entry sum_j a_rj b_jc is at most
-    M = max_r sum_j |a_rj|_1 * max_jc |b_jc|_inf in absolute value.  Each
-    entry is packed as one int, its value at v = X = 2**B with X > M.  A
-    nonzero polynomial with coefficients below X in absolute value is
-    nonzero at X: its top term c_d X**d is at least X**d in absolute value
-    and the lower ones add up to at most (X - 1)(1 + X + ... + X**(d-1))
-    = X**d - 1.  So a packed sum is 0 iff the product entry is the zero
-    polynomial.
+    Exact, in int arithmetic.  With lo_a and lo_b the lowest exponents in
+    a and b, every entry of v**-lo_a * a and of v**-lo_b * b is a
+    polynomial, and every coefficient of a product entry sum_j a_rj b_jc
+    is at most M = max_r sum_j |a_rj|_1 * max_jc |b_jc|_inf in absolute
+    value.  Each entry is packed as one int, its value at v = X = 2**B
+    with X > M.  A nonzero polynomial with coefficients below X in
+    absolute value is nonzero at X: its top term c_d X**d is at least
+    X**d in absolute value and the lower ones add up to at most
+    (X - 1)(1 + X + ... + X**(d-1)) = X**d - 1.  So a packed sum is 0 iff
+    the product entry is the zero polynomial.
     """
-    nz_a = [x for row in a for x in row if x[1]]
-    nz_b = [x for row in b for x in row if x[1]]
+    nz_a = [x.re for row in a for x in row if x]
+    nz_b = [x.re for row in b for x in row if x]
     if not nz_a or not nz_b:
         return True
-    lo_a = min(x[0] for x in nz_a)
-    lo_b = min(x[0] for x in nz_b)
-    bound = (max(sum(sum(map(abs, x[1])) for x in row) for row in a)
-             * max(max(map(abs, x[1])) for x in nz_b))
+    lo_a = min(min(x) for x in nz_a)
+    lo_b = min(min(x) for x in nz_b)
+    bound = (max(sum(sum(map(abs, x.re.values())) for x in row) for row in a)
+             * max(max(map(abs, x.values())) for x in nz_b))
     base = bound.bit_length()
     packed_b = [[_packed(x, lo_b, base) for x in row] for row in b]
     for row in a:
         support = [(packed_b[j], _packed(x, lo_a, base))
-                   for j, x in enumerate(row) if x[1]]
+                   for j, x in enumerate(row) if x]
         for col in range(len(packed_b[0])):
             if sum(bj[col] * x for bj, x in support):
                 return False
@@ -269,7 +173,7 @@ def int_det(m):
 def lp_det_nonzero(m):
     """Whether det m != 0, exactly, for a square LP matrix m.
 
-    Row k times v**-lo_k, with lo_k its lowest offset, is a polynomial
+    Row k times v**-lo_k, with lo_k its lowest exponent, is a polynomial
     row, and det m is v**(sum_k lo_k) times the determinant of the scaled
     matrix.  Evaluation at v = 2 is a ring homomorphism Z[v] -> Z, so it
     commutes with the determinant: a nonzero int_det of the scaled matrix
@@ -278,12 +182,11 @@ def lp_det_nonzero(m):
     """
     rows = []
     for row in m:
-        offsets = [x[0] for x in row if x[1]]
-        if not offsets:
+        if not any(row):
             return False
-        lo = min(offsets)
+        lo = min(min(x.re) for x in row if x)
         rows.append([_packed(x, lo, 1) for x in row])
-    return bool(int_det(rows)) or not lp_is_zero(det_bareiss(m))
+    return bool(int_det(rows)) or bool(det_bareiss(m))
 
 
 def det_bareiss(m):
@@ -295,10 +198,10 @@ def det_bareiss(m):
     sign = 1
     prev = LP_ONE
     for k in range(n - 1):
-        if not m[k][k][1]:
+        if not m[k][k]:
             swap = None
             for i in range(k + 1, n):
-                if m[i][k][1]:
+                if m[i][k]:
                     swap = i
                     break
             if swap is None:
@@ -311,8 +214,7 @@ def det_bareiss(m):
             fik = row_i[k]
             fkk = row_k[k]
             for j in range(k + 1, n):
-                num = lp_sub(lp_mul(row_i[j], fkk), lp_mul(fik, row_k[j]))
-                row_i[j] = lp_divexact(num, prev)
+                row_i[j] = lp_divexact(row_i[j] * fkk - fik * row_k[j], prev)
             row_i[k] = LP_ZERO
         prev = m[k][k]
-    return lp_scale(m[n - 1][n - 1], sign)
+    return -m[n - 1][n - 1] if sign < 0 else m[n - 1][n - 1]

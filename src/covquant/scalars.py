@@ -243,8 +243,13 @@ class LaurentPoly:
                    {e: -x for e, x in self.im.items()})
 
     def __mul__(self, other):
-        # (a + bt)(c + dt) = ac - bd + (ad + bc)t, skipping empty maps
+        # (a + bt)(c + dt) = ac - bd + (ad + bc)t, skipping empty maps; a
+        # zero factor is returned as it is
         a, b, c, d = self.re, self.im, other.re, other.im
+        if not (a or b):
+            return self
+        if not (c or d):
+            return other
         re = {}
         _convolve(re, a, c)
         if not (b or d):
@@ -477,27 +482,19 @@ class RationalFn:
         return f"RationalFn({self.num!r}, {self.den!r})"
 
 
+LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly({0: 1})
 
 
-def lp_to_ratfn(a):
-    """Integer Laurent kernel tuple (offset, coeffs) -> RationalFn."""
-    off, coeffs = a
-    return RationalFn(LaurentPoly.from_maps(
-        {off + k: c for k, c in enumerate(coeffs) if c}))
-
-
-def ratfn_to_lp(r):
-    """RationalFn -> integer Laurent kernel tuple; ValueError if not one."""
+def int_laurent(r):
+    """The numerator of a RationalFn in Z[v, v^-1]; ValueError if r is
+    not an integer Laurent polynomial."""
     if r.den != LP_ONE:
         raise ValueError("scalar has a genuine denominator")
-    re = r.num.re
-    if r.num.im or any(type(c) is not int for c in re.values()):
+    num = r.num
+    if num.im or any(type(c) is not int for c in num.re.values()):
         raise ValueError("scalar is not an integer Laurent polynomial")
-    if not re:
-        return (0, ())
-    lo = min(re)
-    return (lo, tuple(re.get(e, 0) for e in range(lo, max(re) + 1)))
+    return num
 
 
 # The values of pi, in the order of PiScalar's (plus, minus) components.

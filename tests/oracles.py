@@ -26,13 +26,6 @@ def ratfn_to_sympy(r):
     return sympy.cancel(laurent_to_sympy(r.num) / laurent_to_sympy(r.den))
 
 
-def lp_to_sympy(a):
-    """Convert an integer Laurent kernel tuple (offset, coeffs) to sympy."""
-    off, coeffs = a
-    return sum((sympy.Integer(c) * V ** (off + k)
-                for k, c in enumerate(coeffs)), sympy.Integer(0))
-
-
 def piscalar_to_sympy(s):
     return (ratfn_to_sympy(s.plus), ratfn_to_sympy(s.minus))
 
@@ -113,9 +106,9 @@ def pair_words_oracle(datum, w1, w2):
 
 
 def lp_pair_matches_pi_expr(pair, expr):
-    """Compare a (plus, minus) pair of integer Laurent kernel tuples with
+    """Compare a (plus, minus) pair of integer Laurent polynomials with
     a sympy expression in V and PI by specializing PI to +1 and -1."""
-    plus, minus = (lp_to_sympy(a) for a in pair)
+    plus, minus = (laurent_to_sympy(a) for a in pair)
     return (sympy.expand(plus - expr.subs(PI, 1)) == 0
             and sympy.expand(minus - expr.subs(PI, -1)) == 0)
 

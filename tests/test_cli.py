@@ -616,10 +616,11 @@ def test_golden_output_digest(tmp_path, argv, code, digest):
 # echelon), canonical since the canonical basis is also read through the
 # form (3936 with the echelon, 3485 with a field solve for coordinates
 # over the crystal reps), character since the module is built on free
-# words (5330 before)
-VERIFY_OSP14_H3_RATFN_COUNT = 3640
-CANONICAL_OSP14_H4_RATFN_COUNT = 2677
-CHARACTER_OSP14_H6_RATFN_COUNT = 839
+# words (5330 before); verify and canonical since the crystal reads the
+# Gram entries as they are (3640 and 2677 when each was converted)
+VERIFY_OSP14_H3_RATFN_COUNT = 3592
+CANONICAL_OSP14_H4_RATFN_COUNT = 2567
+CHARACTER_OSP14_H6_RATFN_COUNT = 835
 
 
 def _rationalfn_count(tmp_path, monkeypatch, argv):
@@ -673,12 +674,30 @@ GOLDEN_FILES = [
 ]
 
 
-@pytest.mark.parametrize("data, code, digest", GOLDEN_FILES,
-                         ids=["pairing-det-2", "embedding-mismatch"])
-def test_golden_validate_digest(tmp_path, monkeypatch, data, code, digest):
+def _datum_file_digest(tmp_path, monkeypatch, data, argv, code):
+    """Run argv on data written as "datum.json" in tmp_path, from there;
+    assert the exit code and return the output's sha256."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "datum.json").write_text(json.dumps(data))
     out = tmp_path / "out.json"
-    assert main(["validate", "--datum", "datum.json", "--out", str(out)]) \
-        == code
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert main(argv + ["--datum", "datum.json", "--out", str(out)]) == code
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("data, code, digest", GOLDEN_FILES,
+                         ids=["pairing-det-2", "embedding-mismatch"])
+def test_golden_validate_digest(tmp_path, monkeypatch, data, code, digest):
+    assert _datum_file_digest(tmp_path, monkeypatch, data, ["validate"],
+                              code) == digest
+
+
+def test_golden_large_d_canonical_digest(tmp_path, monkeypatch):
+    # d_i = 100000: Gram entries are a few terms spread over exponent
+    # spans in the hundreds of thousands.  Recorded while the elimination
+    # kernels still stored a dense coefficient tuple per entry
+    data = {"indices": ["1", "2"],
+            "dot": [[200000, -100000], [-100000, 200000]],
+            "parity": [0, 0]}
+    assert _datum_file_digest(
+        tmp_path, monkeypatch, data, ["canonical", "--height", "3"], 0) == \
+        "23d61dae58dc8145b4e70acdfbc4a559a1e6a619d8b3b61583cbdac2b8cc4914"

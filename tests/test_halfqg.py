@@ -11,13 +11,13 @@ from covquant import halfqg, kernels
 from covquant.catalog import all_catalog_names, catalog_datum, finite_catalog_names
 from covquant.freealg import FreeElement, render_word
 from covquant.halfqg import QuotientContext, serre_coefficient
-from covquant.scalars import PS_ONE, PS_PI, PiScalar, lp_to_ratfn, \
-    qbinomial, ratfn_to_lp, render_scalar
+from covquant.scalars import LP_ONE, LP_ZERO, PS_ONE, PS_PI, LaurentPoly, \
+    PiScalar, RationalFn, int_laurent, qbinomial, render_scalar
 
 from oracles import (
     kostant_partition,
+    laurent_to_sympy,
     lp_pair_matches_pi_expr,
-    lp_to_sympy,
     pair_words_oracle,
     ratfn_to_sympy,
 )
@@ -31,11 +31,8 @@ def osp14_ctx():
     return QuotientContext(datum, root, tf)
 
 
-LP_ONE = (0, (1,))
-
-
 def gram_sympy(ctx, nu, sign):
-    return sympy.Matrix([[lp_to_sympy(c) for c in row]
+    return sympy.Matrix([[laurent_to_sympy(c) for c in row]
                          for row in ctx.gram(nu)[sign]])
 
 
@@ -53,7 +50,7 @@ def test_gram_single_letter(osp14_ctx):
 def test_gram_two_letters(osp14_ctx):
     # words theta_1 theta_2, theta_2 theta_1; off-diagonal pi^{p1 p2} v^{-1.2}
     mat = osp14_ctx.gram((1, 1))
-    off = (2, (1,))  # v^2: 1.2 = -2, p(1)p(2) = 0
+    off = LaurentPoly({2: 1})  # v^2: 1.2 = -2, p(1)p(2) = 0
     for sign in (1, -1):
         assert mat[sign] == [[LP_ONE, off], [off, LP_ONE]]
 
@@ -206,11 +203,6 @@ def test_dimension_matches_kostant_partition(name, height):
 # --- class-coordinate table -----------------------------------------------------
 
 
-def _lp_dict(a):
-    off, coeffs = a
-    return {off + k: c for k, c in enumerate(coeffs) if c}
-
-
 def _gram_kills_residuals(ctx, nu, sign, table):
     """True iff the Gram matrix kills e_w - sum_k table[w][k] e_{p_k} for
     every word w, p_k the pivot words: the table holds classes in f.
@@ -219,10 +211,10 @@ def _gram_kills_residuals(ctx, nu, sign, table):
     pivots = ctx.pivots(nu)
     for w, coords in table.items():
         for row in ctx.gram(nu)[sign]:
-            acc = Counter(_lp_dict(row[col[w]]))
+            acc = Counter(row[col[w]].re)
             for p, a in zip(pivots, coords):
-                for e1, x in _lp_dict(a).items():
-                    for e2, y in _lp_dict(row[col[p]]).items():
+                for e1, x in a.re.items():
+                    for e2, y in row[col[p]].re.items():
                         acc[e1 + e2] -= x * y
             if any(acc.values()):
                 return False
@@ -234,7 +226,7 @@ def _bump(table):
     that has coordinates."""
     w = next(w for w, coords in table.items() if coords)
     coords = list(table[w])
-    coords[0] = kernels.lp_add(coords[0], LP_ONE)
+    coords[0] = coords[0] + LP_ONE
     return {**table, w: tuple(coords)}
 
 
@@ -269,23 +261,25 @@ def test_class_coords_genuine_denominator():
     # Z[v, v^-1], so some coordinates are not Laurent polynomials
     ctx = QuotientContext(*catalog_datum("osp14"))
     nu = (2, 1)
-    zero = kernels.LP_ZERO
+    zero = LP_ZERO
     rows = {
-        1: [[(0, (2,)), (0, (1, 1)), (-1, (1,))],
-            [zero, (0, (1, -1)), (0, (3,))]],
-        -1: [[(2, (-1,)), LP_ONE, zero],
-             [zero, (0, (1, 0, 1)), (1, (1,))]],
+        1: [[LaurentPoly({0: 2}), LaurentPoly({0: 1, 1: 1}),
+             LaurentPoly({-1: 1})],
+            [zero, LaurentPoly({0: 1, 1: -1}), LaurentPoly({0: 3})]],
+        -1: [[LaurentPoly({2: -1}), LP_ONE, zero],
+             [zero, LaurentPoly({0: 1, 2: 1}), LaurentPoly({1: 1})]],
     }
     _plant_radical(ctx, nu, rows, [0, 1])
     words, pivots = ctx.words(nu), ctx.pivots(nu)
 
     def residuals_in_span(sign, den, table):
         # den e_w - sum_k table[w][k] e_{p_k} against the planted rows
-        span = sympy.Matrix([[lp_to_sympy(c) for c in r] for r in rows[sign]])
+        span = sympy.Matrix([[laurent_to_sympy(c) for c in r]
+                             for r in rows[sign]])
         for w, coords in table.items():
-            res = [lp_to_sympy(den) if u == w else 0 for u in words]
+            res = [laurent_to_sympy(den) if u == w else 0 for u in words]
             for p, a in zip(pivots, coords):
-                res[words.index(p)] -= lp_to_sympy(a)
+                res[words.index(p)] -= laurent_to_sympy(a)
             if span.col_join(sympy.Matrix([res])).rank() != span.rank():
                 return False
         return True
@@ -301,7 +295,8 @@ def test_class_coords_genuine_denominator():
         _, coords = ctx.reduce_at(x, nu)
         got = coords[0].specialize(sign)
         assert not got.is_laurent()
-        want = lp_to_sympy(table[words[1]][0]) / lp_to_sympy(den) + V
+        want = (laurent_to_sympy(table[words[1]][0]) / laurent_to_sympy(den)
+                + V)
         assert sympy.simplify(ratfn_to_sympy(got) - want) == 0
 
 
@@ -310,7 +305,7 @@ def test_reduction_left_mass_raises_arithmetic_error():
     # rows are not in echelon form and reduction cannot clear it
     ctx = QuotientContext(*catalog_datum("osp14"))
     nu = (2, 1)
-    zero = kernels.LP_ZERO
+    zero = LP_ZERO
     rows = [[LP_ONE, zero, zero], [LP_ONE, LP_ONE, zero]]
     _plant_radical(ctx, nu, {1: rows, -1: rows}, [0, 1])
     with pytest.raises(ArithmeticError, match="outside the pivot words"):
@@ -444,15 +439,14 @@ def test_radical_stable_under_maps(osp14_ctx):
     nu = (3, 1)
     words = ctx.words(nu)
     rad = ctx.radical(nu)
-    from covquant.scalars import RationalFn, LaurentPoly
-    zero = RationalFn(LaurentPoly())
+    zero = RationalFn(LP_ZERO)
     for sign in (1, -1):
         rows, _ = rad[sign]
         for row in rows:
             terms = {}
-            for t, lp in enumerate(row):
-                if lp[1]:
-                    r = lp_to_ratfn(lp)
+            for t, a in enumerate(row):
+                if a:
+                    r = RationalFn(a)
                     terms[words[t]] = (PiScalar(r, zero) if sign > 0
                                        else PiScalar(zero, r))
             el = FreeElement(terms)
@@ -475,10 +469,10 @@ def test_fallback_kernel_matches_serre_route(osp14_ctx):
             assert fpiv == piv
             for r in frows:
                 res, _ = kernels.vec_reduce(rows, piv, r)
-                assert all(kernels.lp_is_zero(a) for a in res)
+                assert not any(res)
             for r in rows:
                 res, _ = kernels.vec_reduce(frows, fpiv, r)
-                assert all(kernels.lp_is_zero(a) for a in res)
+                assert not any(res)
 
 
 # --- the certificate ---------------------------------------------------------------
@@ -495,7 +489,7 @@ def test_certify_rejects_rows_off_the_kernel_or_short(osp14_ctx):
         # a unit added at a pivot word moves the row off the kernel
         free = next(c for c in range(n) if c not in piv)
         moved = [list(r) for r in rows]
-        moved[0][free] = kernels.lp_add(moved[0][free], kernels.LP_ONE)
+        moved[0][free] = moved[0][free] + LP_ONE
         assert not ctx._certify(gm, moved, piv, n)
         # without its last row the span misses part of the radical, so the
         # complementary minor is singular
@@ -518,9 +512,9 @@ def _to_int_rows(el, index):
     """Element -> per-sign integer LP vectors over the word basis."""
     out = {}
     for sign in (1, -1):
-        vec = [kernels.LP_ZERO] * len(index)
+        vec = [LP_ZERO] * len(index)
         for w, c in el.terms.items():
-            vec[index[w]] = ratfn_to_lp(c.plus if sign > 0 else c.minus)
+            vec[index[w]] = int_laurent(c.plus if sign > 0 else c.minus)
         out[sign] = vec
     return out
 

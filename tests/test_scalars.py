@@ -18,6 +18,7 @@ from covquant.scalars import (
     PS_ZERO,
     _poly_divmod,
     _poly_gcd,
+    int_laurent,
     parse_scalar,
     qbinomial,
     qfactorial,
@@ -128,6 +129,25 @@ def test_qbinomial_denominator_free_sweep():
         for n in range(-8, 9):
             for k in range(0, 9):
                 qbinomial(n, k, d)
+
+
+def test_int_laurent_reads_numerators_and_rejects_the_rest():
+    # a q-binomial specialization is an integer Laurent polynomial
+    for sign in (1, -1):
+        r = qbinomial(4, 2, 2).specialize(sign)
+        got = int_laurent(r)
+        assert got is r.num
+        assert got.re and not got.im
+        assert all(type(c) is int for c in got.re.values())
+    assert not int_laurent(RationalFn(0))
+    # a Fraction coefficient, a t coefficient, a genuine denominator
+    half = RationalFn(LaurentPoly({0: 1, 2: Fraction(1, 2)}))
+    t_coeff = PS_T.plus * qbinomial(3, 1, 1).plus
+    pole = qbinomial(2, 1, 1).plus / qbinomial(3, 1, 1).plus
+    assert not pole.is_laurent()
+    for r in (half, t_coeff, pole):
+        with pytest.raises(ValueError):
+            int_laurent(r)
 
 
 def test_qbinomial_bar_invariant():

@@ -12,7 +12,7 @@ from covquant.catalog import catalog_datum, finite_catalog_names
 from covquant.freealg import FreeAlgebra
 from covquant.halfqg import QuotientContext
 from covquant.linalg import RF_ONE, RF_ZERO
-from covquant.scalars import lp_to_ratfn
+from covquant.scalars import RationalFn
 from covquant.umod import (
     ModifiedTwistData,
     TruncationBoundary,
@@ -336,7 +336,7 @@ def test_chi_diagram_zero_element(mod14):
 def _ratfn_column(row):
     """An integer Laurent row over the words as a sparse RationalFn
     column."""
-    return {t: lp_to_ratfn(a) for t, a in enumerate(row) if a[1]}
+    return {t: RationalFn(a) for t, a in enumerate(row) if a}
 
 
 @pytest.mark.parametrize("name,lam,hmax", [
