@@ -7,9 +7,15 @@ is part of the datum's identity because phi depends on it.  Elements of X
 are plain integer tuples in the root datum's basis.
 """
 
-import hashlib
 import json
 from fractions import Fraction
+
+try:
+    # CPython's built-in module: hashlib would map OpenSSL's libcrypto,
+    # several MB, to hash one short string per run
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .kernels import int_det
 
@@ -632,4 +638,4 @@ def datum_hash(datum, root, tf):
     """Hex hash identifying the normalized datum (stamped on CLI output)."""
     payload = json.dumps(normalized_datum_dict(datum, root, tf),
                          sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return sha256(payload.encode()).hexdigest()[:16]

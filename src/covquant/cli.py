@@ -5,10 +5,14 @@ tables, emit characters of truncated highest-weight modules, and run the
 verification suites.  Output is deterministic byte for byte: fixed
 orderings, sorted keys, no timestamps, and every payload embeds the hash
 of the normalized datum.  Exit codes: 0 all good, 1 a verification (or
-datum-condition) failure, 2 malformed input.
+datum-condition) failure, 2 malformed input, or output that cannot be
+written: an unwritable --out file reports a JSON error on stdout, and
+an unwritable stdout one line on stderr.
 
 umod and crystal are imported inside the commands that use them, so a
-run loads, and on a cold start compiles, only what it needs.
+run loads, and on a cold start compiles, only what it needs.  The JSON
+is streamed to --out or stdout as it is encoded, never held whole, and
+the datum hash uses CPython's built-in sha256, which maps no OpenSSL.
 """
 
 import argparse
@@ -126,13 +130,19 @@ def _stamp(payload, ctx):
     return payload
 
 
+def _dump(payload, fh):
+    # streamed chunk by chunk: the indented text is never held whole
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _dump(payload, fh)
     else:
-        print(text, end="")
+        _dump(payload, sys.stdout)
+        sys.stdout.flush()
 
 
 # --- subcommands ---------------------------------------------------------
@@ -375,10 +385,22 @@ def main(argv=None):
         payload, code = {"error": f"datum file is malformed: {e}"}, 2
     except ArithmeticError as e:
         payload, code = {"error": f"computation failed: {e}"}, 1
+    if cfg.out:
+        try:
+            _emit(payload, cfg.out)
+        except OSError as e:
+            payload, code = {"error": f"cannot write --out file: {e}"}, 2
+        else:
+            return code
     try:
-        _emit(payload, cfg.out)
+        _emit(payload, None)
     except OSError as e:
-        _emit({"error": f"cannot write --out file: {e}"}, None)
+        # what is still buffered goes to the null device, so the flush at
+        # exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"covquant: cannot write to stdout: {e}", file=sys.stderr)
         return 2
     return code
 

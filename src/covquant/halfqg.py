@@ -29,10 +29,10 @@ from math import comb
 from . import kernels
 from .cartan import stats_N, stats_p, weight_sub
 from .freealg import FreeAlgebra, FreeElement
-from .linalg import RF_ZERO
 from .scalars import (
     LP_ONE,
     LP_ZERO,
+    RF_ZERO,
     PiScalar,
     RationalFn,
     SIGNS,

@@ -9,10 +9,7 @@ code calls solve: the tests use it as the field-elimination reference
 for the canonical basis, and the benchmark tracer wraps it by name.
 """
 
-from .scalars import LaurentPoly, RationalFn
-
-RF_ZERO = RationalFn(LaurentPoly())
-RF_ONE = RationalFn(LaurentPoly.const(1))
+from .scalars import RF_ONE, RF_ZERO
 
 
 def identity(n):

@@ -484,6 +484,8 @@ class RationalFn:
 
 LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly({0: 1})
+RF_ZERO = RationalFn(LP_ZERO)
+RF_ONE = RationalFn(LP_ONE)
 
 
 def int_laurent(r):

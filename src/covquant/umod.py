@@ -37,9 +37,8 @@ from math import comb
 from . import linalg
 from .cartan import height, unit_weight, weight_add, weight_sub, weight_zero
 from .halfqg import serre_coefficient
-from .linalg import RF_ONE, RF_ZERO
-from .scalars import PS_ONE, PS_PI, GaussianRational, PiScalar, \
-    RationalFn, SIGNS, qfactorial, qinteger_signed
+from .scalars import PS_ONE, PS_PI, RF_ONE, RF_ZERO, GaussianRational, \
+    PiScalar, RationalFn, SIGNS, qfactorial, qinteger_signed
 
 
 class TruncationBoundary(Exception):

@@ -1,7 +1,13 @@
 """Cartan data, root data, phi/phi_dot, transversal, and weight stats."""
 
+import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -262,6 +268,45 @@ def test_datum_hash_stable_and_sensitive():
     blob = normalized_datum_dict(*d1)
     assert blob["datum"]["indices"] == ["1", "2"]
     assert blob["degenerate_all_even"] is False
+
+
+def _hashlib_digest(datum, root, tf):
+    """The datum hash through hashlib, the oracle for cartan's own sha256."""
+    text = json.dumps(normalized_datum_dict(datum, root, tf),
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _osp14_explicit_root_datum():
+    data = json.loads(json.dumps(CATALOG["osp14"]))
+    data["X"] = {"rank": 2, "pairing": [[1, 0], [0, 1]],
+                 "emb": [[2, -1], [-2, 2]]}
+    data["Y"] = {"rank": 2, "emb": [[1, 0], [0, 1]]}
+    data["transversal"] = [[0, 0], [1, 0]]
+    return data
+
+
+@pytest.mark.parametrize("name", list(CATALOG) + ["osp14-explicit"])
+def test_datum_hash_matches_hashlib(name):
+    data = (_osp14_explicit_root_datum() if name == "osp14-explicit"
+            else CATALOG[name])
+    parts = datum_from_dict(data)
+    assert datum_hash(*parts) == _hashlib_digest(*parts)
+
+
+def test_datum_hash_falls_back_to_hashlib():
+    # with the built-in _sha256 blocked, cartan imports hashlib's sha256
+    # and stamps the same digest
+    code = ("import sys; sys.modules['_sha256'] = None\n"
+            "from covquant.cartan import datum_hash\n"
+            "from covquant.catalog import catalog_datum\n"
+            "print(datum_hash(*catalog_datum('osp14')), "
+            "'hashlib' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == [datum_hash(*catalog_datum("osp14")), "True"]
 
 
 def test_datum_from_dict_roundtrip():

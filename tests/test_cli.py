@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,11 @@ import pytest
 from covquant.catalog import CATALOG
 from covquant import scalars
 from covquant.cli import BRACKET_TERM_CAP, HEIGHT_CAP, _build_parser, main
+
+
+# a child interpreter finds the package through this, whatever the cwd
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def run_cli(capsys, args):
@@ -286,6 +292,20 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_unwritable_stdout_exits_2_without_traceback():
+    # /dev/full accepts the open and fails every write with ENOSPC
+    cmd = [sys.executable, "-m", "covquant.cli", "validate",
+           "--datum", "osp14"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=CHILD_ENV)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("covquant: cannot write to stdout")
+    assert "--out" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_height_cap(capsys):
     code, payload = run_cli(
         capsys, ["canonical", "--datum", "osp12",
@@ -528,6 +548,30 @@ def test_console_script_bytes_stable():
     table = json.loads(first.stdout)["table"]
     assert {"label": "121", "weight": [2, 1],
             "element": "θ[1]θ[2]θ[1]", "ell_mod4": 3} in table
+
+
+# stdout and --out are separate streaming targets; each command must
+# write the same bytes to both
+SAME_BYTES = [
+    (["validate", "--datum", "osp14"], 0),
+    (["canonical", "--datum", "osp14", "--height", "3"], 0),
+    (["character", "--datum", "osp14", "--lambda", "2,0", "--height", "6"], 0),
+    (["verify", "--datum", "osp14", "--suite", "all", "--height", "3"], 0),
+    (["verify", "--datum", "osp14", "--suite", "all", "--height", "3",
+      "--mutate"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", SAME_BYTES,
+                         ids=["validate", "canonical", "character", "verify",
+                              "verify-mutate"])
+def test_stdout_bytes_equal_out_file(tmp_path, argv, code):
+    cmd = [sys.executable, "-m", "covquant.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
+    assert proc.returncode == code
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert proc.stdout == out.read_bytes()
 
 
 # --- golden bytes ---------------------------------------------------------

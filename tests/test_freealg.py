@@ -11,8 +11,8 @@ from covquant.freealg import (
     render_word,
     word_weight,
 )
-from covquant.linalg import RF_ONE, RF_ZERO
-from covquant.scalars import PS_ONE, PS_ZERO, PiScalar, qfactorial
+from covquant.scalars import PS_ONE, PS_ZERO, RF_ONE, RF_ZERO, PiScalar, \
+    qfactorial
 
 from oracles import lp_pair_matches_pi_expr, pair_words_oracle
 

@@ -112,13 +112,23 @@ def test_no_dead_definitions(name, src_and_test_reads):
 
 def test_cli_import_leaves_umod_and_crystal_unloaded():
     # each command imports the heavy modules it needs, so a cold start
-    # of validate or canonical does not compile umod
-    code = ("import sys, covquant.cli; print(' '.join(sorted("
-            "m for m in sys.modules if m.startswith('covquant'))))")
+    # of validate or canonical does not compile umod; canonical needs
+    # neither the module build nor field elimination, and the datum hash
+    # maps no OpenSSL (_hashlib)
+    code = ("import os, sys, covquant.cli\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+            "covquant.cli.main(['canonical', '--datum', 'osp14', "
+            "'--height', '2', '--out', os.devnull])\n"
+            "print(' '.join(sorted(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True,
-                            check=True).stdout.split()
+    imported, ran = subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout.splitlines()
+    loaded = imported.split()
     assert "covquant.cli" in loaded
     assert "covquant.umod" not in loaded
     assert "covquant.crystal" not in loaded
+    loaded = ran.split()
+    assert "covquant.crystal" in loaded
+    for name in ("covquant.umod", "covquant.linalg", "_hashlib"):
+        assert name not in loaded

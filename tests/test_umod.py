@@ -11,8 +11,7 @@ from covquant.cartan import height, unit_weight, weight_sub, weight_zero
 from covquant.catalog import catalog_datum, finite_catalog_names
 from covquant.freealg import FreeAlgebra
 from covquant.halfqg import QuotientContext
-from covquant.linalg import RF_ONE, RF_ZERO
-from covquant.scalars import RationalFn
+from covquant.scalars import RF_ONE, RF_ZERO, RationalFn
 from covquant.umod import (
     ModifiedTwistData,
     TruncationBoundary,
