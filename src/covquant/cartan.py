@@ -8,7 +8,6 @@ are plain integer tuples in the root datum's basis.
 """
 
 import json
-from fractions import Fraction
 
 try:
     # CPython's built-in module: hashlib would map OpenSSL's libcrypto,
@@ -16,8 +15,6 @@ try:
     from _sha256 import sha256
 except ImportError:
     from hashlib import sha256
-
-from .kernels import int_det
 
 
 def _as_int(c):
@@ -61,13 +58,20 @@ class SuperCartanDatum:
     def d(self, k):
         """d_k = (k.k)/2 (may be a Fraction on invalid data)."""
         val = self.dot[k][k]
-        return val // 2 if val % 2 == 0 else Fraction(val, 2)
+        if val % 2 == 0:
+            return val // 2
+        # only invalid data gets here, so valid runs never load fractions
+        from fractions import Fraction
+        return Fraction(val, 2)
 
     def a(self, k, l):
         """Cartan integer 2(k.l)/(k.k) (Fraction when not integral)."""
         num = 2 * self.dot[k][l]
         den = self.dot[k][k]
-        return num // den if den and num % den == 0 else Fraction(num, den or 1)
+        if den and num % den == 0:
+            return num // den
+        from fractions import Fraction
+        return Fraction(num, den or 1)
 
     def p(self, k):
         return self.parity[k]
@@ -266,7 +270,32 @@ def _as_sequence(x):
     return list(x)
 
 
-# --- integer linear algebra for the transversal -----------------------------
+# --- integer linear algebra for the root datum and the transversal ----------
+
+def int_det(m):
+    """Exact determinant of a square int matrix (Bareiss elimination)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [list(r) for r in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        row_k = m[k]
+        fkk = row_k[k]
+        for row_i in m[k + 1:]:
+            fik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * fkk - fik * row_k[j]) // prev
+        prev = fkk
+    return sign * m[n - 1][n - 1]
+
 
 def hnf_columns(mat, ncols):
     """Column-style Hermite normal form.
@@ -373,7 +402,7 @@ class RootDatum:
         """
         n = datum.rank
         A = datum.cartan_matrix()
-        if any(Fraction(a).denominator != 1 for row in A for a in row):
+        if any(a.denominator != 1 for row in A for a in row):
             raise ValueError("Cartan integers 2(i.j)/(i.i) must be integers")
         A = [[int(a) for a in row] for row in A]
         if int_det(A) != 0:
@@ -479,6 +508,10 @@ class TwistForm:
         self.user_transversal = None
         self._decomposed = {}
         if user_transversal is not None:
+            if not (isinstance(user_transversal, (list, tuple)) and all(
+                    isinstance(v, (list, tuple)) for v in user_transversal)):
+                raise TypeError("transversal must be a list of integer "
+                                f"vectors, got {user_transversal!r}")
             self.user_transversal = self._check_transversal(
                 [tuple(_as_int(c) for c in v) for v in user_transversal])
 
@@ -605,6 +638,10 @@ def datum_from_dict(data):
         y = data.get("Y", {})
         if not (isinstance(x, dict) and isinstance(y, dict)):
             raise TypeError("X and Y must be JSON objects")
+        for name, side in (("X", x), ("Y", y)):
+            if "emb" not in side:
+                raise ValueError(f"{name}.emb is missing: X and Y each need "
+                                 "an emb list, one row per index")
         rank_x = x.get("rank")
         rank_y = y.get("rank", rank_x)
         rank_x = rank_x if rank_x is not None else rank_y

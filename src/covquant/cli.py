@@ -9,10 +9,19 @@ datum-condition) failure, 2 malformed input, or output that cannot be
 written: an unwritable --out file reports a JSON error on stdout, and
 an unwritable stdout one line on stderr.
 
-umod and crystal are imported inside the commands that use them, so a
-run loads, and on a cold start compiles, only what it needs.  The JSON
-is streamed to --out or stdout as it is encoded, never held whole, and
-the datum hash uses CPython's built-in sha256, which maps no OpenSSL.
+Every module past cartan and catalog is imported inside the commands
+that run it, so a run loads, and on a cold start compiles, only what it
+executes:
+
+  validate   cli, cartan, catalog
+  character  those, scalars, freealg, umod, linalg (the module is built
+             on free words and reads no Gram data)
+  canonical  those of validate, scalars, freealg, halfqg, kernels, crystal
+  verify     all of them
+
+The JSON is streamed to --out or stdout as it is encoded, never held
+whole, and the datum hash uses CPython's built-in sha256, which maps no
+OpenSSL.
 """
 
 import argparse
@@ -24,9 +33,6 @@ from itertools import product
 from .cartan import SuperCartanDatum, TransversalError, datum_from_dict, \
     datum_hash, height, normalized_datum_dict
 from .catalog import CATALOG
-from .freealg import render_word
-from .halfqg import QuotientContext
-from .scalars import PS_ONE, SIGNS, render_scalar
 
 HEIGHT_CAP = 8
 
@@ -57,7 +63,8 @@ def _read_datum_dict(name_or_path):
             data = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read datum file: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, UnicodeDecodeError, and the int digit limit
         raise InputError(f"datum file is not valid JSON: {e}")
     if not isinstance(data, dict):
         raise InputError("datum file must hold a JSON object")
@@ -67,7 +74,9 @@ def _read_datum_dict(name_or_path):
     return data
 
 
-def _load_context(cfg):
+def _load_twist_form(cfg):
+    """The validated datum's twist form; its datum and root datum ride on
+    it as tf.datum and tf.root."""
     data = _read_datum_dict(cfg.datum)
     try:
         datum, root, tf = datum_from_dict(data)
@@ -78,11 +87,17 @@ def _load_context(cfg):
         raise InputError(
             "datum fails validation: "
             + "; ".join(f["message"] for f in findings))
-    return QuotientContext(datum, root, tf)
+    return tf
 
 
-def _resolve_lambda(cfg, ctx, required=False):
-    root = ctx.root
+def _load_context(cfg):
+    from .halfqg import QuotientContext
+    tf = _load_twist_form(cfg)
+    return QuotientContext(tf.datum, tf.root, tf)
+
+
+def _resolve_lambda(cfg, tf, required=False):
+    root = tf.root
     if cfg.lam is None:
         if required:
             raise InputError("this command needs --lambda")
@@ -90,7 +105,7 @@ def _resolve_lambda(cfg, ctx, required=False):
     if len(cfg.lam) != root.rankX:
         raise InputError(
             f"--lambda needs {root.rankX} coordinates, got {len(cfg.lam)}")
-    datum = ctx.datum
+    datum = tf.datum
     for i in range(datum.rank):
         terms = abs(root.pair_index(i, cfg.lam)) * datum.d(i)
         if terms > BRACKET_TERM_CAP:
@@ -112,6 +127,7 @@ def _check_height(cfg):
 
 
 def _signs(cfg):
+    from .scalars import SIGNS
     return {"+1": (1,), "-1": (-1,), "both": SIGNS}[cfg.pi]
 
 
@@ -124,9 +140,9 @@ def _wrap(cfg, command, payload):
     return out
 
 
-def _stamp(payload, ctx):
-    payload["datum_sha256"] = datum_hash(ctx.datum, ctx.root, ctx.tf)
-    payload["datum"] = normalized_datum_dict(ctx.datum, ctx.root, ctx.tf)
+def _stamp(payload, tf):
+    payload["datum_sha256"] = datum_hash(tf.datum, tf.root, tf)
+    payload["datum"] = normalized_datum_dict(tf.datum, tf.root, tf)
     return payload
 
 
@@ -175,6 +191,8 @@ def cmd_validate(cfg):
 
 
 def _element_text(datum, x):
+    from .freealg import render_word
+    from .scalars import PS_ONE, render_scalar
     bits = []
     for w in sorted(x.terms):
         c = x.terms[w]
@@ -201,18 +219,19 @@ def cmd_canonical(cfg):
                 "element": _element_text(ctx.datum, el.G),
                 "ell_mod4": el.ell % 4,
             })
-    payload = _stamp(_wrap(cfg, "canonical", {"table": table}), ctx)
+    payload = _stamp(_wrap(cfg, "canonical", {"table": table}), ctx.tf)
     return payload, 0
 
 
 def cmd_character(cfg):
     from . import umod
+    from .freealg import FreeAlgebra
     _check_height(cfg)
-    ctx = _load_context(cfg)
-    lam = _resolve_lambda(cfg, ctx, required=True)
-    module = umod.build_module(ctx, lam, cfg.height)
+    tf = _load_twist_form(cfg)
+    lam = _resolve_lambda(cfg, tf, required=True)
+    module = umod.build_module(FreeAlgebra(tf.datum, tf), lam, cfg.height)
     results = [umod.character_report(module, s) for s in _signs(cfg)]
-    payload = _stamp(_wrap(cfg, "character", {"results": results}), ctx)
+    payload = _stamp(_wrap(cfg, "character", {"results": results}), tf)
     return payload, 0
 
 
@@ -257,7 +276,7 @@ def _suite_lattice(ctx, cfg):
 
 def _suite_clubsuit(ctx, cfg):
     from . import umod
-    rep = umod.clubsuit_report(ctx)
+    rep = umod.clubsuit_report(ctx.free)
     return {"suite": "clubsuit", **rep}
 
 
@@ -270,10 +289,10 @@ def cmd_verify(cfg):
             f"--mutate plants no error in suite '{cfg.suite}'; it acts on "
             + ", ".join(MUTABLE_SUITES))
     ctx = _load_context(cfg)
-    lam = _resolve_lambda(cfg, ctx)
+    lam = _resolve_lambda(cfg, ctx.tf)
     module = None
     if {"modified-twistor", "hat-twistor", "chi-diagram"} & set(wanted):
-        module = umod.build_module(ctx, lam, cfg.height)
+        module = umod.build_module(ctx.free, lam, cfg.height)
     reports = []
     for name in wanted:
         if name == "half-twistor":
@@ -296,7 +315,7 @@ def cmd_verify(cfg):
     all_pass = all(r["pass"] for r in reports)
     payload = _stamp(_wrap(cfg, "verify", {
         "suite": cfg.suite, "mutated": cfg.mutate,
-        "pass": all_pass, "reports": reports}), ctx)
+        "pass": all_pass, "reports": reports}), ctx.tf)
     return payload, 0 if all_pass else 1
 
 

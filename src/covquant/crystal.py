@@ -252,7 +252,7 @@ class Crystal:
         they are an A-basis of L: every candidate's coordinates over them
         are that matrix's inverse times its pairings, in A."""
         ctx = self.ctx
-        index = {w: t for t, w in enumerate(ctx.words(nu))}
+        index = {w: t for t, w in enumerate(ctx.free.words_of_weight(nu))}
         piv = [index[w] for w in ctx.pivots(nu)]
         gram = ctx.gram(nu)
         grams = {s: [[gram[s][i][j] for j in piv] for i in piv]

@@ -6,9 +6,12 @@ are never stored.  All operations are pure; the pairing accepts an
 external memo dict so a quotient context can own the cache, and works
 per pi-component on integer Laurent polynomials (LaurentPoly values with
 int coefficients, which kernels eliminates on as they are).
-FreeAlgebra memoizes divided powers and single-word derivations, so the
-elements and dicts they return are shared: nothing may mutate them.
+FreeAlgebra memoizes divided powers, single-word derivations and the word
+lists of each weight, so the elements, dicts and lists they return are
+shared: nothing may mutate them.
 """
+
+from math import comb
 
 from .cartan import weight_add
 from .scalars import (
@@ -18,6 +21,7 @@ from .scalars import (
     PS_ZERO,
     PiScalar,
     RationalFn,
+    qbinomial,
     qfactorial,
 )
 
@@ -103,6 +107,16 @@ class FreeElement:
         return "FreeElement({" + ", ".join(bits) + "})"
 
 
+def serre_coefficient(datum, i, j, k):
+    """(-1)^k pi^{C(k,2)p(i)+k p(i)p(j)} [b,k]_{v_i} with b = 1 - a_ij: the
+    coefficient of theta_i^{b-k} theta_j theta_i^k in the Serre element.
+    Its twist() is the coefficient of the twisted Serre relation."""
+    b = 1 - datum.a(i, j)
+    pi_exp = comb(k, 2) * datum.p(i) + k * datum.p(i) * datum.p(j)
+    coeff = qbinomial(b, k, datum.d(i)) * PiScalar.pi_power(pi_exp)
+    return -coeff if k % 2 else coeff
+
+
 def word_weight(word, rank):
     counts = [0] * rank
     for k in word:
@@ -119,6 +133,7 @@ class FreeAlgebra:
         self.rank = datum.rank
         self._divided_powers = {}
         self._eprime_words = {}
+        self._words = {}
 
     # --- constructors ---------------------------------------------------
 
@@ -272,7 +287,11 @@ class FreeAlgebra:
     # --- word enumeration ---------------------------------------------------
 
     def words_of_weight(self, nu):
-        """All words of the given weight, lexicographic order."""
+        """All words of the given weight, lexicographic order; built once
+        per weight."""
+        got = self._words.get(nu)
+        if got is not None:
+            return got
         out = []
 
         def go(prefix, counts):
@@ -288,6 +307,7 @@ class FreeAlgebra:
                     counts[k] += 1
 
         go([], list(nu))
+        self._words[nu] = out
         return out
 
     def weights_up_to_height(self, h):

@@ -24,11 +24,9 @@ element's class off it, is its only reader.  The truncated modules are
 built on free words and read none of this.
 """
 
-from math import comb
-
 from . import kernels
 from .cartan import stats_N, stats_p, weight_sub
-from .freealg import FreeAlgebra, FreeElement
+from .freealg import FreeAlgebra, FreeElement, serre_coefficient
 from .scalars import (
     LP_ONE,
     LP_ZERO,
@@ -37,18 +35,7 @@ from .scalars import (
     RationalFn,
     SIGNS,
     int_laurent,
-    qbinomial,
 )
-
-
-def serre_coefficient(datum, i, j, k):
-    """(-1)^k pi^{C(k,2)p(i)+k p(i)p(j)} [b,k]_{v_i} with b = 1 - a_ij: the
-    coefficient of theta_i^{b-k} theta_j theta_i^k in the Serre element.
-    Its twist() is the coefficient of the twisted Serre relation."""
-    b = 1 - datum.a(i, j)
-    pi_exp = comb(k, 2) * datum.p(i) + k * datum.p(i) * datum.p(j)
-    coeff = qbinomial(b, k, datum.d(i)) * PiScalar.pi_power(pi_exp)
-    return -coeff if k % 2 else coeff
 
 
 class QuotientContext:
@@ -60,7 +47,6 @@ class QuotientContext:
         self.tf = twist_form
         self.free = FreeAlgebra(datum, twist_form)
         self._pair_memo = {}
-        self._words = {}
         self._gram = {}      # nu -> {sign: integer Laurent rows}
         self._serre = {}     # (i, j) -> (weight, {sign: [(word, LP)]})
         self._radical = {}   # nu -> {sign: (rows, pivot_cols)}
@@ -68,14 +54,7 @@ class QuotientContext:
         self._coords = {}    # nu -> {sign: (den, {word: coordinates})}
         self._radical_route = {}  # nu -> "serre" | "fallback"
 
-    # --- words and Gram matrices --------------------------------------------
-
-    def words(self, nu):
-        got = self._words.get(nu)
-        if got is None:
-            got = self.free.words_of_weight(nu)
-            self._words[nu] = got
-        return got
+    # --- Gram matrices -------------------------------------------------------
 
     def gram(self, nu):
         """Gram matrix at weight nu as {sign: rows of integer Laurent
@@ -83,7 +62,7 @@ class QuotientContext:
         got = self._gram.get(nu)
         if got is not None:
             return got
-        words = self.words(nu)
+        words = self.free.words_of_weight(nu)
         pair = self.free.pair_words
         memo = self._pair_memo
         cells = [[pair(w1, w2, memo) for w2 in words] for w1 in words]
@@ -127,7 +106,7 @@ class QuotientContext:
     def _serre_span_rows(self, nu):
         """Per-sign integer vectors over words(nu) of the padded Serre
         elements u S_ij w, assembled by word concatenation."""
-        words = self.words(nu)
+        words = self.free.words_of_weight(nu)
         index = {w: t for t, w in enumerate(words)}
         rows = []
         n = self.datum.rank
@@ -143,8 +122,8 @@ class QuotientContext:
                     continue
                 for left in self._subweights(rest):
                     right = weight_sub(rest, left)
-                    for u in self.words(left):
-                        for w in self.words(right):
+                    for u in self.free.words_of_weight(left):
+                        for w in self.free.words_of_weight(right):
                             row = {}
                             for sign in SIGNS:
                                 vec = [LP_ZERO] * len(words)
@@ -162,7 +141,7 @@ class QuotientContext:
         return out
 
     def _compute_radical(self, nu):
-        words = self.words(nu)
+        words = self.free.words_of_weight(nu)
         ncols = len(words)
         serre_rows = self._serre_span_rows(nu)
         gram = self.gram(nu)
@@ -260,7 +239,7 @@ class QuotientContext:
         by kernels.vec_reduce, with the product of the leads used divided
         out exactly at the end."""
         rows, piv = self.radical(nu)[sign]
-        words = self.words(nu)
+        words = self.free.words_of_weight(nu)
         lead_row = {col: k for k, col in enumerate(piv)}
         keep = [t for t in range(len(words)) if t not in lead_row]
         table = {}

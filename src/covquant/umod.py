@@ -36,7 +36,7 @@ from math import comb
 
 from . import linalg
 from .cartan import height, unit_weight, weight_add, weight_sub, weight_zero
-from .halfqg import serre_coefficient
+from .freealg import serre_coefficient
 from .scalars import PS_ONE, PS_PI, RF_ONE, RF_ZERO, GaussianRational, \
     PiScalar, RationalFn, SIGNS, qfactorial, qinteger_signed
 
@@ -165,13 +165,13 @@ class WeightModule:
     sign internally and exposed through dimension/space/word_operator.
     """
 
-    def __init__(self, ctx, lam, hmax):
+    def __init__(self, free, lam, hmax):
         if hmax < 0:
             raise ValueError("the height cutoff must be nonnegative")
-        self.ctx = ctx
-        self.datum = ctx.datum
-        self.root = ctx.root
-        self.tf = ctx.tf
+        self.free = free
+        self.datum = free.datum
+        self.tf = free.tf
+        self.root = free.tf.root
         self.lam = tuple(lam)
         if len(self.lam) != self.root.rankX:
             raise ValueError(
@@ -181,7 +181,7 @@ class WeightModule:
         self._pair_lam = tuple(
             self.root.pair_index(i, self.lam) for i in range(rank))
         self.weights = [weight_zero(rank)]
-        self.weights += ctx.free.weights_up_to_height(hmax)
+        self.weights += free.weights_up_to_height(hmax)
 
         self._brackets = {}
         self._serre = {}
@@ -201,7 +201,7 @@ class WeightModule:
         both signs.  The raising columns out of nu and the lowering
         columns into nu are each reduced once, modulo the target kernel;
         the lowering ones must kill N(lam)_(nu - i)."""
-        words = self.ctx.words(nu)
+        words = self.free.words_of_weight(nu)
         index = self._index[nu] = {w: t for t, w in enumerate(words)}
         down = {i: self._raising_images(i, nu)
                 for i in range(self.datum.rank) if nu[i]}
@@ -223,7 +223,7 @@ class WeightModule:
                 self._eop[(sign, i, nu)] = _project(raising[i], piv,
                                                     len(lpiv))
                 lowering = [_reduce(kern, {index[(i,) + w]: RF_ONE})
-                            for w in self.ctx.words(low)]
+                            for w in self.free.words_of_weight(low)]
                 if not _is_zero(_mul(lbasis, lowering, len(piv))):
                     raise ArithmeticError(
                         "lowering action escapes the raising kernel at "
@@ -261,8 +261,8 @@ class WeightModule:
     def _raising_images(self, i, nu):
         """Raising image of every word of nu as a sparse column over the
         words one level down: {sign: [{word index: scalar}]} in the order
-        of ctx.words(nu).  The word surgery is independent of the highest
-        weight; only the bracket scalars see lam."""
+        of words_of_weight(nu).  The word surgery is independent of the
+        highest weight; only the bracket scalars see lam."""
         datum = self.datum
         tgt = weight_sub(nu, unit_weight(datum.rank, i))
         index = self._index[tgt]
@@ -270,7 +270,7 @@ class WeightModule:
         n_i = self._pair_lam[i]
         removals = [[(index[sub], parity, self.bracket(n_i - offset, d_i))
                      for sub, parity, offset in _removals(w, i, datum)]
-                    for w in self.ctx.words(nu)]
+                    for w in self.free.words_of_weight(nu)]
         imgs = {}
         for sign in SIGNS:
             cols = []
@@ -302,7 +302,7 @@ class WeightModule:
         """Basis of the block at depth nu: the words at the pivot columns
         of the stacked raising matrix, i.e. those whose raising images are
         independent of the images of the words before them."""
-        words = self.ctx.words(tuple(nu))
+        words = self.free.words_of_weight(tuple(nu))
         return [words[c] for c in self._kernel(nu, sign)[2]]
 
     def block_weight(self, nu):
@@ -382,9 +382,10 @@ class WeightModule:
         return got
 
 
-def build_module(ctx, lam, hmax):
-    """Build the truncated simple highest-weight module at lam."""
-    return WeightModule(ctx, lam, hmax)
+def build_module(free, lam, hmax):
+    """Build the truncated simple highest-weight module at lam on the free
+    algebra free."""
+    return WeightModule(free, lam, hmax)
 
 
 def character(module, sign):
@@ -562,10 +563,10 @@ class ModifiedTwistData:
     scalar is nonzero.
     """
 
-    def __init__(self, ctx, mutate=False):
-        self.datum = ctx.datum
-        self.root = ctx.root
-        self.tf = ctx.tf
+    def __init__(self, free, mutate=False):
+        self.datum = free.datum
+        self.tf = free.tf
+        self.root = free.tf.root
         self.mutate = bool(mutate)
 
     def f_exponent(self, i, mu):
@@ -626,7 +627,7 @@ def _scalar_entries(module, data, entries):
 def verify_modified_twistor(module, mutate=False):
     """Blockwise check that the dressed generators satisfy the twisted
     defining relations on the module."""
-    data = ModifiedTwistData(module.ctx, mutate=mutate)
+    data = ModifiedTwistData(module.free, mutate=mutate)
     entries = []
     _scalar_entries(module, data, entries)
     _commutator_entries(module, data.exponent, True, entries)
@@ -639,11 +640,11 @@ def verify_modified_twistor(module, mutate=False):
 # -- the clubsuit congruence ---------------------------------------------
 
 
-def clubsuit_congruence(ctx, i, j, k):
+def clubsuit_congruence(free, i, j, k):
     """Check the mod-4 exponent congruence behind the higher-order
     commutator terms of the dressed operators (i != j, 0 <= k <= b)."""
-    datum = ctx.datum
-    tf = ctx.tf
+    datum = free.datum
+    tf = free.tf
     if i == j:
         raise ValueError("the congruence needs two distinct indices")
     b = 1 - datum.a(i, j)
@@ -663,8 +664,8 @@ def clubsuit_congruence(ctx, i, j, k):
     return (club - target) % 4 == 0
 
 
-def clubsuit_report(ctx):
-    datum = ctx.datum
+def clubsuit_report(free):
+    datum = free.datum
     entries = []
     for i in range(datum.rank):
         for j in range(datum.rank):
@@ -672,7 +673,7 @@ def clubsuit_report(ctx):
                 continue
             b = 1 - datum.a(i, j)
             for k in range(b + 1):
-                ok = clubsuit_congruence(ctx, i, j, k)
+                ok = clubsuit_congruence(free, i, j, k)
                 entries.append({"relation": "clubsuit",
                                 "i": datum.indices[i], "j": datum.indices[j],
                                 "k": k, "status": "pass" if ok else "fail"})
@@ -733,7 +734,7 @@ def verify_hat_twistor(module, mutate=False):
     labels = datum.indices
     rank = datum.rank
     dress = _HatDressing(module, mutate=mutate)
-    table = ModifiedTwistData(module.ctx)
+    table = ModifiedTwistData(module.free)
     entries = []
 
     y_samples = [unit_weight(root.rankY, a) for a in range(root.rankY)]
@@ -849,12 +850,11 @@ def verify_chi_diagram(module, x):
     diagonal-dressed lowering operators.  Checked as operators on every
     block the truncation can represent, for both specializations.
     """
-    ctx = module.ctx
     rank = module.datum.rank
     if not x.terms:
         return True
     nu = x.homogeneous_weight(rank)
-    psi_x = ctx.free.twistor(x)
+    psi_x = module.free.twistor(x)
     twisted = {w: c.twist() for w, c in x.terms.items()}
     dressed = _chi_lower_exponent(module)
     words = sorted(set(psi_x.terms) | set(x.terms))
@@ -887,7 +887,7 @@ def verify_chi_diagram(module, x):
 def chi_suite(module, hmax_words):
     """Run the intertwining square over all generator monomials up to the
     requested length."""
-    fa = module.ctx.free
+    fa = module.free
     datum = module.datum
     entries = []
     words = [()]

@@ -31,7 +31,7 @@ def crystal14(ctxs):
 
 @pytest.fixture(scope="module")
 def modules_h5(ctxs):
-    return {name: umod.build_module(ctx, (1,) * ctx.root.rankX, 5)
+    return {name: umod.build_module(ctx.free, (1,) * ctx.root.rankX, 5)
             for name, ctx in ctxs.items()}
 
 
@@ -138,13 +138,13 @@ def test_a6_character_coincidence(ctxs):
     with dominant coordinates <= 2."""
     ctx1 = ctxs["osp12"]
     for n in range(4):
-        m = umod.build_module(ctx1, (n,), 6)
+        m = umod.build_module(ctx1.free, (n,), 6)
         plus = umod.character(m, 1)
         assert plus == umod.character(m, -1)
         assert sorted(plus.values()) == [1] * (n + 1)
     ctx2 = ctxs["osp14"]
     for lam in product(range(3), repeat=2):
-        m = umod.build_module(ctx2, lam, 6)
+        m = umod.build_module(ctx2.free, lam, 6)
         assert umod.character(m, 1) == umod.character(m, -1), lam
     print("PASS: a6 character coincidence, rank 1 dims 1..4 and nine "
           "rank-2 weights")
@@ -157,7 +157,7 @@ def test_a7_modified_and_extended_twistors(ctxs, modules_h5):
     for name, m in modules_h5.items():
         assert umod.verify_modified_twistor(m)["pass"], name
         assert umod.verify_hat_twistor(m)["pass"], name
-        assert umod.clubsuit_report(ctxs[name])["pass"], name
+        assert umod.clubsuit_report(ctxs[name].free)["pass"], name
     control = modules_h5["osp14"]
     assert not umod.verify_modified_twistor(control, mutate=True)["pass"]
     assert not umod.verify_hat_twistor(control, mutate=True)["pass"]
@@ -175,7 +175,7 @@ def test_a8_structural_properties(ctxs, modules_h5):
                 if height(nu) != h:
                     continue
                 rad = ctx.radical(nu)
-                n = len(ctx.words(nu))
+                n = len(ctx.free.words_of_weight(nu))
                 assert len(rad[1][0]) == len(rad[-1][0]), (name, nu)
                 assert n - len(rad[1][0]) == len(ctx.pivots(nu))
 

@@ -20,6 +20,7 @@ from covquant.cartan import (
     datum_from_dict,
     datum_hash,
     height,
+    int_det,
     normalized_datum_dict,
     stats_N,
     stats_p,
@@ -28,7 +29,6 @@ from covquant.cartan import (
     weight_sequence,
 )
 from covquant.catalog import CATALOG, all_catalog_names, catalog_datum
-from covquant.kernels import int_det
 
 
 @pytest.fixture(scope="module")

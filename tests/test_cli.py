@@ -190,6 +190,58 @@ def test_rank_zero_datum_exits_2(capsys, tmp_path, args):
                                 "least one index")
 
 
+@pytest.mark.parametrize("args", ALL_COMMANDS,
+                         ids=["validate", "canonical", "character", "verify"])
+@pytest.mark.parametrize("content", [
+    b'{"indices": ["\xff"], "dot": [[2]], "parity": [1]}',
+    b'{"indices": ["1"], "dot": [[' + b"2" * 4301 + b']], "parity": [1]}',
+], ids=["not-utf8", "int-over-4300-digits"])
+def test_unreadable_datum_file_exits_2(capsys, tmp_path, args, content):
+    # UnicodeDecodeError and the int digit limit are ValueErrors that
+    # json.load raises besides JSONDecodeError
+    path = tmp_path / "datum.json"
+    path.write_bytes(content)
+    code, payload = run_cli(capsys, [args[0], "--datum", str(path)] + args[1:])
+    assert code == 2
+    assert payload["error"].startswith("datum file is not valid JSON: ")
+
+
+def _without(key):
+    def edit(data):
+        del data[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("args", ALL_COMMANDS,
+                         ids=["validate", "canonical", "character", "verify"])
+@pytest.mark.parametrize("edit, message", [
+    (_without("Y"), "Y.emb is missing"),
+    (_without("X"), "X.emb is missing"),
+    (_set("Y", {"rank": 2}), "Y.emb is missing"),
+    (_set("X", {"rank": 2, "pairing": [[1, 0], [0, 1]]}), "X.emb is missing"),
+    (_set("transversal", "x"),
+     "transversal must be a list of integer vectors, got 'x'"),
+    (_set("transversal", [0, 0]),
+     "transversal must be a list of integer vectors, got [0, 0]"),
+], ids=["X-without-Y", "Y-without-X", "Y-without-emb", "X-without-emb",
+        "transversal-string", "transversal-flat"])
+def test_datum_shape_error_names_the_field(capsys, tmp_path, args, edit,
+                                           message):
+    data = _osp14_explicit()
+    edit(data)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    code, payload = run_cli(capsys, [args[0], "--datum", str(path)] + args[1:])
+    assert code == 2
+    assert payload["error"].startswith(f"datum file is malformed: {message}")
+
+
 def test_weight_outside_user_transversal_exits_2(capsys, tmp_path):
     # X/Z[I]' is infinite for the affine datum, so a one-vector transversal
     # passes the file checks but misses the class of lambda = (1, 0, 0),

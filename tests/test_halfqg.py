@@ -9,8 +9,8 @@ import sympy
 
 from covquant import halfqg, kernels
 from covquant.catalog import all_catalog_names, catalog_datum, finite_catalog_names
-from covquant.freealg import FreeElement, render_word
-from covquant.halfqg import QuotientContext, serre_coefficient
+from covquant.freealg import FreeElement, render_word, serre_coefficient
+from covquant.halfqg import QuotientContext
 from covquant.scalars import LP_ONE, LP_ZERO, PS_ONE, PS_PI, LaurentPoly, \
     PiScalar, RationalFn, int_laurent, qbinomial, render_scalar
 
@@ -71,7 +71,7 @@ def test_gram_matches_pairing_oracle(name, height):
     datum, root, tf = catalog_datum(name)
     ctx = QuotientContext(datum, root, tf)
     for nu in ctx.free.weights_up_to_height(height):
-        words = ctx.words(nu)
+        words = ctx.free.words_of_weight(nu)
         mat = ctx.gram(nu)
         for a, w1 in enumerate(words):
             for b, w2 in enumerate(words):
@@ -91,7 +91,7 @@ def test_gram_rank_matches_sympy_oracle(osp14_ctx):
 def test_weight_31_kernel_is_serre_line(osp14_ctx):
     ctx = osp14_ctx
     nu = (3, 1)
-    assert len(ctx.words(nu)) == 4
+    assert len(ctx.free.words_of_weight(nu)) == 4
     assert ctx.dimension(nu) == 3
     rad = ctx.radical(nu)
     for sign in (1, -1):
@@ -156,7 +156,7 @@ def test_reduce_consistent_with_gram(osp14_ctx):
     rng = random.Random(9)
     for _ in range(6):
         nu = rng.choice([(2, 1), (3, 1), (2, 2)])
-        words = ctx.words(nu)
+        words = ctx.free.words_of_weight(nu)
         x = FreeElement({
             rng.choice(words): PiScalar.v_power(rng.randrange(-2, 3)),
             rng.choice(words): PS_ONE + PiScalar.pi_power(1),
@@ -197,7 +197,8 @@ def test_dimension_matches_kostant_partition(name, height):
         assert ctx.dimension(nu) == want, nu
         for sign in (1, -1):
             rows, _ = ctx.radical(nu)[sign]
-            assert len(ctx.words(nu)) - len(rows) == want, (nu, sign)
+            n = len(ctx.free.words_of_weight(nu))
+            assert n - len(rows) == want, (nu, sign)
 
 
 # --- class-coordinate table -----------------------------------------------------
@@ -207,7 +208,7 @@ def _gram_kills_residuals(ctx, nu, sign, table):
     """True iff the Gram matrix kills e_w - sum_k table[w][k] e_{p_k} for
     every word w, p_k the pivot words: the table holds classes in f.
     A plain product loop over exponent dicts, independent of kernels."""
-    col = {w: t for t, w in enumerate(ctx.words(nu))}
+    col = {w: t for t, w in enumerate(ctx.free.words_of_weight(nu))}
     pivots = ctx.pivots(nu)
     for w, coords in table.items():
         for row in ctx.gram(nu)[sign]:
@@ -244,14 +245,14 @@ def test_class_coords_match_reduce_at(name, height):
             assert _gram_kills_residuals(ctx, nu, sign, table), (nu, sign)
     # negative control: one entry off by 1 at the largest weight space
     nu = max((nu for nu in weights if ctx.dimension(nu)),
-             key=lambda nu: len(ctx.words(nu)))
+             key=lambda nu: len(ctx.free.words_of_weight(nu)))
     _, table = ctx.class_coords(nu)[1]
     assert not _gram_kills_residuals(ctx, nu, 1, _bump(table))
 
 
 def _plant_radical(ctx, nu, rows, piv):
     """Replace the radical at nu by hand-built echelon rows per sign."""
-    words = ctx.words(nu)
+    words = ctx.free.words_of_weight(nu)
     ctx._radical[nu] = {sign: (rows[sign], piv) for sign in (1, -1)}
     ctx._pivots[nu] = [w for t, w in enumerate(words) if t not in piv]
 
@@ -270,7 +271,7 @@ def test_class_coords_genuine_denominator():
              [zero, LaurentPoly({0: 1, 2: 1}), LaurentPoly({1: 1})]],
     }
     _plant_radical(ctx, nu, rows, [0, 1])
-    words, pivots = ctx.words(nu), ctx.pivots(nu)
+    words, pivots = ctx.free.words_of_weight(nu), ctx.pivots(nu)
 
     def residuals_in_span(sign, den, table):
         # den e_w - sum_k table[w][k] e_{p_k} against the planted rows
@@ -309,7 +310,7 @@ def test_reduction_left_mass_raises_arithmetic_error():
     rows = [[LP_ONE, zero, zero], [LP_ONE, LP_ONE, zero]]
     _plant_radical(ctx, nu, {1: rows, -1: rows}, [0, 1])
     with pytest.raises(ArithmeticError, match="outside the pivot words"):
-        ctx.reduce_at(ctx.free.monomial(ctx.words(nu)[1]), nu)
+        ctx.reduce_at(ctx.free.monomial(ctx.free.words_of_weight(nu)[1]), nu)
     with pytest.raises(ArithmeticError, match="outside the pivot words"):
         ctx.class_coords(nu)
 
@@ -437,7 +438,7 @@ def test_radical_stable_under_maps(osp14_ctx):
     ctx = osp14_ctx
     F = ctx.free
     nu = (3, 1)
-    words = ctx.words(nu)
+    words = ctx.free.words_of_weight(nu)
     rad = ctx.radical(nu)
     zero = RationalFn(LP_ZERO)
     for sign in (1, -1):
@@ -461,7 +462,7 @@ def test_radical_stable_under_maps(osp14_ctx):
 def test_fallback_kernel_matches_serre_route(osp14_ctx):
     ctx = osp14_ctx
     for nu in [(3, 1), (2, 2)]:
-        words = ctx.words(nu)
+        words = ctx.free.words_of_weight(nu)
         for sign in (1, -1):
             rows, piv = ctx.radical(nu)[sign]
             gm = ctx.gram(nu)[sign]
@@ -481,7 +482,7 @@ def test_fallback_kernel_matches_serre_route(osp14_ctx):
 def test_certify_rejects_rows_off_the_kernel_or_short(osp14_ctx):
     ctx = osp14_ctx
     nu = (3, 1)
-    n = len(ctx.words(nu))
+    n = len(ctx.free.words_of_weight(nu))
     for sign in (1, -1):
         rows, piv = ctx.radical(nu)[sign]
         gm = ctx.gram(nu)[sign]
@@ -524,7 +525,7 @@ def test_serre_rows_match_padded_products(osp14_ctx, nu):
     # reference: u S_ij w built with PiScalar products in the free algebra
     ctx = osp14_ctx
     F = ctx.free
-    index = {w: t for t, w in enumerate(ctx.words(nu))}
+    index = {w: t for t, w in enumerate(ctx.free.words_of_weight(nu))}
     want = []
     for i, j in ((0, 1), (1, 0)):
         s = ctx.serre_element(i, j)

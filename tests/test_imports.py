@@ -1,5 +1,6 @@
-"""Every module-level import in src/covquant is used in its module, and
-every function, class and method it defines is referenced somewhere."""
+"""Every module-level import in src/covquant is used in its module, every
+function, class and method it defines is referenced somewhere, and each
+CLI command loads only the modules it runs."""
 
 import ast
 import os
@@ -132,3 +133,42 @@ def test_cli_import_leaves_umod_and_crystal_unloaded():
     assert "covquant.crystal" in loaded
     for name in ("covquant.umod", "covquant.linalg", "_hashlib"):
         assert name not in loaded
+
+
+# what a cold `python -m covquant.cli` run of each command imports from the
+# package, besides covquant itself and the cli, which runs as __main__
+VALIDATE_MODULES = {"cartan", "catalog"}
+COMMAND_MODULES = [
+    (["validate", "--datum", "osp14"], VALIDATE_MODULES),
+    (["character", "--datum", "osp14", "--lambda", "2,0", "--height", "2"],
+     VALIDATE_MODULES | {"scalars", "freealg", "umod", "linalg"}),
+    (["canonical", "--datum", "osp14", "--height", "2"],
+     VALIDATE_MODULES | {"scalars", "freealg", "halfqg", "kernels",
+                         "crystal"}),
+    (["verify", "--datum", "osp14", "--suite", "all", "--height", "2"],
+     {name[:-3] for name in MODULES} - {"cli"}),
+]
+
+
+def imported_modules(argv):
+    """Every module a child `python -m covquant.cli argv` imports, as
+    -X importtime lists them on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "covquant.cli", *argv,
+         "--out", os.devnull], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")} - {"imported package"}
+
+
+@pytest.mark.parametrize("argv, wanted", COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_command_loads_only_its_modules(argv, wanted):
+    loaded = imported_modules(argv)
+    assert {name for name in loaded if name.startswith("covquant")} == \
+        {"covquant"} | {f"covquant.{name}" for name in wanted}
+    # the datum hash maps no OpenSSL; validate does no rational arithmetic
+    assert "_hashlib" not in loaded
+    if argv[0] == "validate":
+        assert "fractions" not in loaded

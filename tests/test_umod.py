@@ -37,20 +37,25 @@ from oracles import (
 import sympy
 
 
-@pytest.fixture(scope="module")
-def ctx12():
-    return QuotientContext(*catalog_datum("osp12"))
+def free_algebra(name):
+    """The free algebra of a catalog datum, which modules are built on."""
+    datum, _, tf = catalog_datum(name)
+    return FreeAlgebra(datum, tf)
 
 
 @pytest.fixture(scope="module")
-def ctx14():
-    return QuotientContext(*catalog_datum("osp14"))
+def free12():
+    return free_algebra("osp12")
+
+
+@pytest.fixture(scope="module")
+def free14():
+    return free_algebra("osp14")
 
 
 @pytest.fixture(scope="module")
 def mod14():
-    ctx = QuotientContext(*catalog_datum("osp14"))
-    return build_module(ctx, (1, 1), 5)
+    return build_module(free_algebra("osp14"), (1, 1), 5)
 
 
 def dims_along_chain(module, sign):
@@ -62,20 +67,20 @@ def dims_along_chain(module, sign):
 
 
 @pytest.mark.parametrize("n", range(4))
-def test_rank1_dims_match_oracle(ctx12, n):
-    m = build_module(ctx12, (n,), 5)
+def test_rank1_dims_match_oracle(free12, n):
+    m = build_module(free12, (n,), 5)
     for sign in (1, -1):
         assert dims_along_chain(m, sign) == rank1_dims_oracle(n, 5, sign)
 
 
-def test_rank1_n2_dims_spelled_out(ctx12):
-    m = build_module(ctx12, (2,), 5)
+def test_rank1_n2_dims_spelled_out(free12):
+    m = build_module(free12, (2,), 5)
     assert dims_along_chain(m, 1) == [1, 1, 1, 0, 0, 0]
     assert dims_along_chain(m, -1) == [1, 1, 1, 0, 0, 0]
 
 
-def test_rank1_raising_entries_match_oracle(ctx12):
-    m = build_module(ctx12, (3,), 5)
+def test_rank1_raising_entries_match_oracle(free12):
+    m = build_module(free12, (3,), 5)
     for sign in (1, -1):
         for k in range(1, 4):
             mat, texp, fin = m.word_operator(sign, (k,), (("E", 0),))
@@ -85,8 +90,8 @@ def test_rank1_raising_entries_match_oracle(ctx12):
             assert sympy.simplify(ratfn_to_sympy(mat[0][0]) - want) == 0
 
 
-def test_trivial_highest_weight_is_one_dimensional(ctx12):
-    m = build_module(ctx12, (0,), 4)
+def test_trivial_highest_weight_is_one_dimensional(free12):
+    m = build_module(free12, (0,), 4)
     for sign in (1, -1):
         assert dims_along_chain(m, sign) == [1, 0, 0, 0, 0]
         assert character(m, sign) == {(0,): 1}
@@ -95,8 +100,8 @@ def test_trivial_highest_weight_is_one_dimensional(ctx12):
     assert mat == []
 
 
-def test_non_dominant_weight_still_builds(ctx12):
-    m = build_module(ctx12, (-1,), 4)
+def test_non_dominant_weight_still_builds(free12):
+    m = build_module(free12, (-1,), 4)
     for sign in (1, -1):
         assert dims_along_chain(m, sign) == rank1_dims_oracle(-1, 4, sign)
         assert dims_along_chain(m, sign) == [1] * 5
@@ -113,8 +118,7 @@ def test_non_dominant_weight_still_builds(ctx12):
     ("osp16", (1, 0, 0), 3),
 ])
 def test_defining_relations_hold(name, lam, hmax):
-    ctx = QuotientContext(*catalog_datum(name))
-    m = build_module(ctx, lam, hmax)
+    m = build_module(free_algebra(name), lam, hmax)
     rep = verify_module_relations(m)
     assert rep["pass"], [e for e in rep["entries"] if e["status"] == "fail"]
     skipped = [e for e in rep["entries"] if e["status"] == "boundary-skipped"]
@@ -140,7 +144,7 @@ def test_spaces_are_words_of_weight(mod14):
             words = mod14.space(nu, sign)
             assert len(words) == mod14.dimension(nu, sign)
             assert len(set(words)) == len(words)
-            assert all(w in mod14.ctx.words(nu) for w in words)
+            assert all(w in mod14.free.words_of_weight(nu) for w in words)
 
 
 def test_word_operator_boundary(mod14):
@@ -151,21 +155,21 @@ def test_word_operator_boundary(mod14):
         mod14.dimension((9, 9), 1)
 
 
-def test_characters_sign_independent_for_dominant(ctx14):
+def test_characters_sign_independent_for_dominant(free14):
     for lam in [(1, 0), (0, 1), (1, 1), (2, 0)]:
-        m = build_module(ctx14, lam, 4)
+        m = build_module(free14, lam, 4)
         assert character(m, 1) == character(m, -1)
 
 
-def test_fundamental_characters_close_up(ctx14):
+def test_fundamental_characters_close_up(free14):
     # the two fundamentals close below height 6: a 4-dimensional module
     # and the 5-dimensional vector module, with the familiar weight chains
-    m = build_module(ctx14, (1, 0), 6)
+    m = build_module(free14, (1, 0), 6)
     assert character(m, 1) == {
         (1, 0): 1, (-1, 1): 1, (1, -1): 1, (-1, 0): 1}
     blocks = [nu for nu in m.weights if m.dimension(nu, 1)]
     assert blocks == [(0, 0), (1, 0), (1, 1), (2, 1)]
-    m = build_module(ctx14, (0, 1), 6)
+    m = build_module(free14, (0, 1), 6)
     ch = character(m, 1)
     assert sum(ch.values()) == 5 and ch == character(m, -1)
     blocks = [nu for nu in m.weights if m.dimension(nu, 1)]
@@ -173,24 +177,23 @@ def test_fundamental_characters_close_up(ctx14):
 
 
 @pytest.mark.parametrize("lam", [(1, 0), (0, 1), (2, 0), (1, 1)])
-def test_full_window_dimension_matches_weyl_osp14(ctx14, lam):
+def test_full_window_dimension_matches_weyl_osp14(free14, lam):
     # a window down to the lowest weight holds the whole module, whose
     # dimension at both signs is the Weyl dimension of type B2
-    m = build_module(ctx14, lam, b_module_depth(2, lam))
+    m = build_module(free14, lam, b_module_depth(2, lam))
     for sign in (1, -1):
         assert sum(character(m, sign).values()) == weyl_dimension_b(2, lam)
 
 
 def test_full_window_dimension_matches_weyl_osp16():
     lam = (1, 0, 0)
-    ctx = QuotientContext(*catalog_datum("osp16"))
-    m = build_module(ctx, lam, b_module_depth(3, lam))
+    m = build_module(free_algebra("osp16"), lam, b_module_depth(3, lam))
     for sign in (1, -1):
         assert sum(character(m, sign).values()) == weyl_dimension_b(3, lam)
 
 
-def test_character_report_schema(ctx14):
-    m = build_module(ctx14, (0, 1), 4)
+def test_character_report_schema(free14):
+    m = build_module(free14, (0, 1), 4)
     rep = character_report(m, -1)
     assert rep["lambda"] == [0, 1] and rep["pi"] == "-1"
     assert all(set(e) == {"weight", "dim"} for e in rep["character"])
@@ -201,17 +204,17 @@ def test_character_report_schema(ctx14):
 # --- modified twistor -----------------------------------------------------
 
 
-def test_modified_exponent_tables_shift(ctx14):
-    data = ModifiedTwistData(ctx14)
+def test_modified_exponent_tables_shift(free14):
+    data = ModifiedTwistData(free14)
     lam = (1, 1)
     for i in range(2):
         for j in range(2):
-            shifted = weight_sub(lam, ctx14.root.weight_in_X(
+            shifted = weight_sub(lam, free14.tf.root.weight_in_X(
                 unit_weight(2, j)))
             u_i, u_j = unit_weight(2, i), unit_weight(2, j)
             assert data.f_exponent(i, shifted) \
-                == data.f_exponent(i, lam) - ctx14.tf.phi(u_i, u_j)
-    mutated = ModifiedTwistData(ctx14, mutate=True)
+                == data.f_exponent(i, lam) - free14.tf.phi(u_i, u_j)
+    mutated = ModifiedTwistData(free14, mutate=True)
     assert mutated.f_exponent(0, lam) == data.f_exponent(0, lam) + 1
     assert mutated.e_exponent(0, lam) == data.e_exponent(0, lam)
 
@@ -237,9 +240,9 @@ def test_modified_twistor_mutation_detected(mod14):
 
 def test_modified_twistor_catalog():
     for name in finite_catalog_names():
-        ctx = QuotientContext(*catalog_datum(name))
-        lam = tuple([1] * ctx.root.rankX)
-        m = build_module(ctx, lam, 3)
+        free = free_algebra(name)
+        lam = tuple([1] * free.tf.root.rankX)
+        m = build_module(free, lam, 3)
         assert verify_modified_twistor(m)["pass"], name
         assert not verify_modified_twistor(m, mutate=True)["pass"], name
 
@@ -250,16 +253,15 @@ def test_modified_twistor_catalog():
 def test_clubsuit_exhaustive():
     from covquant.catalog import all_catalog_names
     for name in all_catalog_names():
-        ctx = QuotientContext(*catalog_datum(name))
-        rep = clubsuit_report(ctx)
+        rep = clubsuit_report(free_algebra(name))
         assert rep["pass"], (name, rep["entries"])
 
 
-def test_clubsuit_rejects_bad_arguments(ctx14):
+def test_clubsuit_rejects_bad_arguments(free14):
     with pytest.raises(ValueError):
-        clubsuit_congruence(ctx14, 0, 0, 0)
+        clubsuit_congruence(free14, 0, 0, 0)
     with pytest.raises(ValueError):
-        clubsuit_congruence(ctx14, 0, 1, 99)
+        clubsuit_congruence(free14, 0, 1, 99)
 
 
 # --- extension by diagonal operators --------------------------------------
@@ -282,9 +284,9 @@ def test_hat_twistor_mutation_detected(mod14):
 
 def test_hat_twistor_catalog():
     for name in finite_catalog_names():
-        ctx = QuotientContext(*catalog_datum(name))
-        lam = tuple([1] * ctx.root.rankX)
-        m = build_module(ctx, lam, 3)
+        free = free_algebra(name)
+        lam = tuple([1] * free.tf.root.rankX)
+        m = build_module(free, lam, 3)
         assert verify_hat_twistor(m)["pass"], name
 
 
@@ -292,7 +294,7 @@ def test_hat_twistor_catalog():
 
 
 def test_chi_diagram_on_generators(mod14):
-    fa = mod14.ctx.free
+    fa = mod14.free
     for i in range(2):
         assert verify_chi_diagram(mod14, fa.theta(i))
 
@@ -306,7 +308,7 @@ def test_chi_diagram_shifted_lowering_exponent_fails(mod14, monkeypatch):
         return lambda kind, i, mu: fn(kind, i, mu) + 1
 
     monkeypatch.setattr(umod, "_chi_lower_exponent", shifted)
-    fa = mod14.ctx.free
+    fa = mod14.free
     for i in range(2):
         assert not verify_chi_diagram(mod14, fa.theta(i))
 
@@ -321,7 +323,7 @@ def test_chi_diagram_monomials(mod14):
 def test_chi_diagram_star_products(mod14):
     # multiplicativity closure: the square still commutes on *-products,
     # whose coefficients pick up the crossing t-powers
-    fa = mod14.ctx.free
+    fa = mod14.free
     for w1 in [(0,), (1,), (0, 1)]:
         for w2 in [(0,), (1,), (1, 0)]:
             x = fa.star_mul(fa.monomial(w1), fa.monomial(w2))
@@ -329,7 +331,7 @@ def test_chi_diagram_star_products(mod14):
 
 
 def test_chi_diagram_zero_element(mod14):
-    assert verify_chi_diagram(mod14, mod14.ctx.free.zero())
+    assert verify_chi_diagram(mod14, mod14.free.zero())
 
 
 def _ratfn_column(row):
@@ -349,7 +351,7 @@ def test_radical_rows_reduce_to_zero(name, lam, hmax):
     # radical, which must still lie in the joint kernel of the raising
     # maps: every radical row reduces to zero on N(lam)_nu
     ctx = QuotientContext(*catalog_datum(name))
-    module = build_module(ctx, lam, hmax)
+    module = build_module(ctx.free, lam, hmax)
     checked = 0
     for nu in module.weights:
         for sign in (1, -1):
@@ -374,7 +376,7 @@ def test_lowering_check_rejects_images_off_the_kernel(sign, monkeypatch):
     # theta_2 theta_1^3 at (3, 1) gains a unit at a quotient-pivot word of
     # (2, 1), so theta_1^3, in the kernel at (3, 0), no longer lowers into
     # the kernel at (3, 1)
-    ctx = QuotientContext(*catalog_datum("osp14"))
+    free = free_algebra("osp14")
     images = umod.WeightModule._raising_images
 
     def shifted(self, i, nu):
@@ -389,7 +391,7 @@ def test_lowering_check_rejects_images_off_the_kernel(sign, monkeypatch):
     with pytest.raises(ArithmeticError, match=re.escape(
             "lowering action escapes the raising kernel at weight (3, 0) "
             f"(generator 2, pi={sign:+d})")):
-        build_module(ctx, (2, 0), 4)
+        build_module(free, (2, 0), 4)
 
 
 def test_build_pairs_no_words(monkeypatch):
@@ -402,8 +404,7 @@ def test_build_pairs_no_words(monkeypatch):
         return pair(self, *args, **kwargs)
 
     monkeypatch.setattr(FreeAlgebra, "pair_words", counting)
-    ctx = QuotientContext(*catalog_datum("osp14"))
-    module = build_module(ctx, (2, 0), 6)
+    module = build_module(free_algebra("osp14"), (2, 0), 6)
     assert character_report(module, 1)["character"]
     assert calls == []
 
@@ -411,8 +412,8 @@ def test_build_pairs_no_words(monkeypatch):
 def test_build_eliminates_once_per_sign_and_weight(monkeypatch):
     # the kernel at each weight of positive height comes from a single
     # elimination per sign, which also names the quotient basis
-    ctx = QuotientContext(*catalog_datum("osp14"))
-    build_module(ctx, (1, 1), 4)
+    free = free_algebra("osp14")
+    build_module(free, (1, 1), 4)
     calls = []
     eliminate = linalg._eliminate
 
@@ -421,7 +422,7 @@ def test_build_eliminates_once_per_sign_and_weight(monkeypatch):
         return eliminate(mat, ncols)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
-    m = build_module(ctx, (1, 1), 4)
+    m = build_module(free, (1, 1), 4)
     assert len(calls) == 2 * sum(height(nu) > 0 for nu in m.weights)
 
 
@@ -463,8 +464,7 @@ def _snapshot(mats):
     ("osp16", (1, 1, 1), 3),
 ])
 def test_memoized_products_match_fold_and_stay_unmutated(name, lam, hmax):
-    ctx = QuotientContext(*catalog_datum(name))
-    m = build_module(ctx, lam, hmax)
+    m = build_module(free_algebra(name), lam, hmax)
     gens = {"E": _snapshot(m._eop), "F": _snapshot(m._fop)}
     requested = set()
     word_operator = m.word_operator
